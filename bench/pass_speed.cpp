@@ -8,9 +8,11 @@
  *
  *  - default: google-benchmark micro suite, then a formation wall-time
  *    sweep over every speclike workload with the analysis cache on and
- *    off, then a parallel-session sweep (an 8-unit synth64 batch at
- *    1/2/4/8 worker threads), all written to BENCH_pass_speed.json for
- *    trajectory tracking.
+ *    off, a parallel-session sweep (an 8-unit synth64 batch at
+ *    1/2/4/8 worker threads), the generated tier, and a size-scaling
+ *    sweep (synth64/128/256 through prepare, formation and the
+ *    backend), all written to BENCH_pass_speed.json for trajectory
+ *    tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
  *  - --smoke <baseline.json>: time formation of the largest speclike
  *    workload (cache on, best of 3) and the 4-thread batch config, and
@@ -21,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -540,16 +543,132 @@ sweepGenerated(int repeats)
     return out;
 }
 
+// ----- size-scaling sweep (synth64 -> synth256) -----
+
+struct ScalingTiming
+{
+    std::string name;
+    size_t blocks = 0; ///< after prepare, before formation
+    size_t insts = 0;
+    // Median / min / max over the repeats.
+    int64_t prepareUs[3] = {};
+    int64_t formationUs[3] = {};
+    int64_t backendUs[3] = {};
+    // Counters of the first (memo-cold) compile.
+    int64_t trialsRun = 0;
+    int64_t livenessQueries = 0;
+    int64_t livenessBlocksSolved = 0;
+    int64_t usMergeLiveness = 0;
+    int64_t coldFormationUs = 0;
+};
+
+/** {median, min, max} of @p v (sorted in place). */
+void
+spread(std::vector<int64_t> &v, int64_t out[3])
+{
+    std::sort(v.begin(), v.end());
+    out[0] = v[v.size() / 2];
+    out[1] = v.front();
+    out[2] = v.back();
+}
+
+/**
+ * The same synthetic shape at 64, 128 and 256 regions, each through
+ * prepare and a one-unit, one-thread full-pipeline compile, @p repeats
+ * times. Linear-time compilation shows as prepare/formation/backend
+ * time roughly doubling per size step and formation time per trial and
+ * liveness blocks solved per trial staying flat. Repeats after the
+ * first recompile identical IR, so the process-wide failed-trial memo
+ * answers some of their trials; the per-trial counters come from the
+ * first, memo-cold compile.
+ */
+std::vector<ScalingTiming>
+sweepScaling(int repeats)
+{
+    std::vector<ScalingTiming> out;
+    for (int regions : {64, 128, 256}) {
+        Workload w = synthFormationWorkload(regions);
+        ScalingTiming t;
+        t.name = w.name;
+        std::vector<int64_t> prepare, formation, backend;
+        for (int r = 0; r < repeats; ++r) {
+            Program program = buildWorkload(w);
+            Timer timer;
+            ProfileData profile = prepareProgram(program);
+            prepare.push_back(timer.elapsedMicros());
+            t.blocks = program.fn.numBlocks();
+            t.insts = program.fn.totalInsts();
+
+            Session session(
+                SessionOptions().withPipeline(Pipeline::IUPO_fused));
+            session.addProgramRef(program, profile, w.name);
+            const StatSet s = session.compile(1).totals;
+            formation.push_back(s.get("usFormation"));
+            backend.push_back(s.get("usBackend"));
+            if (r == 0) {
+                t.trialsRun = s.get("trialsRun");
+                t.livenessQueries = s.get("livenessQueries");
+                t.livenessBlocksSolved = s.get("livenessBlocksSolved");
+                t.usMergeLiveness = s.get("usMergeLiveness");
+                t.coldFormationUs = s.get("usFormation");
+            }
+        }
+        spread(prepare, t.prepareUs);
+        spread(formation, t.formationUs);
+        spread(backend, t.backendUs);
+        out.push_back(t);
+    }
+
+    std::fprintf(stderr,
+                 "size scaling (full pipeline, 1 thread, median of %d):\n"
+                 "%10s %7s %11s %13s %11s %11s %16s\n",
+                 repeats, "workload", "blocks", "prepare us",
+                 "formation us", "backend us", "us/trial",
+                 "solved/trial");
+    for (const ScalingTiming &t : out) {
+        double trials =
+            static_cast<double>(std::max<int64_t>(t.trialsRun, 1));
+        std::fprintf(stderr,
+                     "%10s %7zu %11lld %13lld %11lld %11.1f %16.2f\n",
+                     t.name.c_str(), t.blocks,
+                     static_cast<long long>(t.prepareUs[0]),
+                     static_cast<long long>(t.formationUs[0]),
+                     static_cast<long long>(t.backendUs[0]),
+                     static_cast<double>(t.coldFormationUs) / trials,
+                     static_cast<double>(t.livenessBlocksSolved) / trials);
+    }
+    return out;
+}
+
+/** CPU model from /proc/cpuinfo ("unknown" elsewhere). */
+std::string
+cpuModel()
+{
+    std::ifstream f("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(f, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            size_t colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size())
+                return line.substr(colon + 2);
+        }
+    }
+    return "unknown";
+}
+
 void
 writeJson(const std::string &path,
           const std::vector<FormationTiming> &sweep,
           const std::vector<ParallelTiming> &parallel,
-          const std::vector<GeneratedTiming> &generated)
+          const std::vector<GeneratedTiming> &generated,
+          const std::vector<ScalingTiming> &scaling)
 {
     const unsigned hw = std::thread::hardware_concurrency();
     std::ostringstream os;
     os << "{\n  \"bench\": \"pass_speed\",\n  \"unit\": \"us\",\n"
        << "  \"hardware_concurrency\": " << hw << ",\n"
+       << "  \"cpu\": \"" << cpuModel() << "\",\n"
+       << "  \"compiler\": \"" << __VERSION__ << "\",\n"
        << "  \"baseline_hardware_concurrency\": \"multi-thread rows "
           "(parallel batch, generated tier) are only recorded when "
           "hardware_concurrency() >= 4; on fewer cores they measure "
@@ -618,6 +737,34 @@ writeJson(const std::string &path,
            << ", \"batch_wall_us\": " << t.wallUs
            << ", \"functions_per_sec\": " << fps << "}"
            << (i + 1 < generated.size() ? "," : "") << "\n";
+    }
+    os << "  ]},\n  \"scaling\": {\"note\": \"synth64/128/256 through "
+          "prepare and a one-unit, one-thread full-pipeline compile; "
+          "times are median/min/max of the repeats; per-trial counters "
+          "come from the first, memo-cold compile\", \"rows\": [\n";
+    for (size_t i = 0; i < scaling.size(); ++i) {
+        const ScalingTiming &t = scaling[i];
+        double trials =
+            static_cast<double>(std::max<int64_t>(t.trialsRun, 1));
+        auto triple = [&](const char *key, const int64_t v[3]) {
+            os << ", \"" << key << "\": " << v[0] << ", \"" << key
+               << "_min\": " << v[1] << ", \"" << key << "_max\": "
+               << v[2];
+        };
+        os << "    {\"name\": \"" << t.name << "\", \"blocks\": "
+           << t.blocks << ", \"insts\": " << t.insts;
+        triple("prepare_us", t.prepareUs);
+        triple("formation_us", t.formationUs);
+        triple("backend_us", t.backendUs);
+        os << ", \"trials_run\": " << t.trialsRun
+           << ", \"formation_us_per_trial\": "
+           << static_cast<double>(t.coldFormationUs) / trials
+           << ", \"liveness_queries\": " << t.livenessQueries
+           << ", \"liveness_blocks_solved\": " << t.livenessBlocksSolved
+           << ", \"liveness_blocks_solved_per_trial\": "
+           << static_cast<double>(t.livenessBlocksSolved) / trials
+           << ", \"us_merge_liveness\": " << t.usMergeLiveness << "}"
+           << (i + 1 < scaling.size() ? "," : "") << "\n";
     }
     const TrialMemoStats memo = trialMemoStats();
     os << "  ]},\n  \"memo_store\": {\"hits\": " << memo.hits
@@ -836,7 +983,9 @@ main(int argc, char **argv)
     std::vector<FormationTiming> sweep = sweepFormation(3);
     std::vector<ParallelTiming> parallel = sweepParallel(3);
     std::vector<GeneratedTiming> generated = sweepGenerated(3);
-    writeJson("BENCH_pass_speed.json", sweep, parallel, generated);
+    std::vector<ScalingTiming> scaling = sweepScaling(5);
+    writeJson("BENCH_pass_speed.json", sweep, parallel, generated,
+              scaling);
     if (const FormationTiming *big = largestWorkload(sweep)) {
         double speedup =
             big->cachedUs > 0

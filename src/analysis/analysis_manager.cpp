@@ -107,33 +107,122 @@ AnalysisManager::predecessors()
     return predsCache;
 }
 
-const Liveness &
-AnalysisManager::liveness()
+bool
+AnalysisManager::livenessOutOfSync() const
 {
-    if (!cacheEnabled) {
-        CHF_ASSERT(!frozen, "liveness rebuild inside a concurrent-read "
-                            "window would race frozen readers");
-        live = std::make_unique<Liveness>(fn);
-        return *live;
-    }
+    return !live || !pendingLive.empty() || reachabilityChanged ||
+           live->universe() < fn.numVregs();
+}
+
+void
+AnalysisManager::syncLiveness()
+{
+    CHF_ASSERT(!frozen, "liveness update inside a concurrent-read "
+                        "window would race frozen readers");
     if (!live) {
         live = std::make_unique<Liveness>(fn);
         pendingLive.clear();
+        reachabilityChanged = false;
         counters.add("analysisLivenessBuilds");
-    } else if (!pendingLive.empty() ||
-               live->universe() < fn.numVregs()) {
-        CHF_ASSERT(!frozen, "liveness update inside a concurrent-read "
-                            "window would race frozen readers");
-        // predecessors() first: update() walks the region backward.
-        const PredecessorMap &preds = predecessors();
-        std::vector<BlockId> changed = std::move(pendingLive);
-        pendingLive.clear();
-        live->update(fn, changed, preds);
-        counters.add("analysisLivenessUpdates");
+        return;
+    }
+    if (!livenessOutOfSync())
+        return;
+    // predecessors() first: the pending region grows backward.
+    const PredecessorMap &preds = predecessors();
+    live->markChanged(fn, pendingLive, preds, reachabilityChanged);
+    pendingLive.clear();
+    reachabilityChanged = false;
+    counters.add("analysisLivenessUpdates");
+}
+
+void
+AnalysisManager::rebuildLiveness()
+{
+    CHF_ASSERT(!frozen, "liveness rebuild inside a concurrent-read "
+                        "window would race frozen readers");
+    live = std::make_unique<Liveness>(fn);
+}
+
+uint64_t
+AnalysisManager::livenessWork() const
+{
+    return live ? live->blocksWorked() : 0;
+}
+
+void
+AnalysisManager::noteLivenessWork(const Timer &timer, uint64_t work_before)
+{
+    livenessNs += timer.elapsedNanos();
+    livenessBlocksSolved += livenessWork() - work_before;
+}
+
+const Liveness &
+AnalysisManager::liveness()
+{
+    Timer timer;
+    if (!cacheEnabled) {
+        rebuildLiveness();
+        noteLivenessWork(timer, 0);
+        return *live;
+    }
+    if (livenessOutOfSync() || live->anyPending()) {
+        uint64_t before = livenessWork();
+        syncLiveness();
+        live->solveAll();
+        noteLivenessWork(timer, before);
     } else {
         counters.add("analysisLivenessHits");
     }
     return *live;
+}
+
+const BitVector &
+AnalysisManager::liveIn(BlockId id)
+{
+    ++livenessQueries;
+    Timer timer;
+    if (!cacheEnabled) {
+        rebuildLiveness();
+        noteLivenessWork(timer, 0);
+        return live->liveIn(id);
+    }
+    if (livenessOutOfSync() || live->pending(id)) {
+        uint64_t before = livenessWork();
+        syncLiveness();
+        live->solveFrom(id);
+        noteLivenessWork(timer, before);
+    }
+    return live->liveIn(id);
+}
+
+uint32_t
+AnalysisManager::livenessUniverse()
+{
+    // Uncached: the width the fresh solve of the next liveIn() will have.
+    if (!cacheEnabled)
+        return Liveness::paddedUniverse(fn.numVregs());
+    if (!live || live->universe() < fn.numVregs()) {
+        Timer timer;
+        uint64_t before = livenessWork();
+        syncLiveness();
+        noteLivenessWork(timer, before);
+    }
+    return live->universe();
+}
+
+const StatSet &
+AnalysisManager::stats() const
+{
+    if (livenessQueries > 0)
+        counters.set("livenessQueries",
+                     static_cast<int64_t>(livenessQueries));
+    if (livenessBlocksSolved > 0)
+        counters.set("livenessBlocksSolved",
+                     static_cast<int64_t>(livenessBlocksSolved));
+    if (livenessNs > 0)
+        counters.set("usMergeLiveness", livenessNs / 1000);
+    return counters;
 }
 
 const Liveness &
@@ -142,7 +231,7 @@ AnalysisManager::beginConcurrentReads(uint32_t vreg_bound)
     CHF_ASSERT(!frozen, "concurrent-read windows do not nest");
     // Materialize on this thread so no worker ever takes a build path.
     predecessors();
-    Liveness &snapshot = const_cast<Liveness &>(liveness());
+    Liveness &snapshot = const_cast<Liveness &>(liveness()); // solves all
     snapshot.ensureUniverse(vreg_bound);
     frozen = true;
     return snapshot;
@@ -166,6 +255,7 @@ AnalysisManager::invalidateAll()
     predsValid = false;
     predsCache.clear();
     pendingLive.clear();
+    reachabilityChanged = false;
     if (cacheEnabled)
         counters.add("analysisInvalidateAll");
 }
@@ -189,6 +279,7 @@ AnalysisManager::branchesRewritten(BlockId id,
         patchPredecessors(id, old_succs, new_succs);
         dom.reset();
         loopInfo.reset();
+        reachabilityChanged = true;
         counters.add("analysisEdgeInvalidations");
     }
     if (live)
@@ -208,8 +299,10 @@ AnalysisManager::blockRemoved(BlockId id,
         predsCache[id].clear();
     dom.reset();
     loopInfo.reset();
-    if (live)
+    if (live) {
         pendingLive.push_back(id);
+        reachabilityChanged = true;
+    }
     counters.add("analysisBlockRemovals");
 }
 
@@ -244,6 +337,10 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
             expect.push_back(t);
     }
     bool splice = sameEdgeSet(expect, new_succs);
+    // Reachability survives a splice of hb's sole successor: every
+    // walk through s went through hb, and hb now reaches s's targets.
+    bool sole_pred = predsValid && s < predsCache.size() &&
+                     predsCache[s].size() == 1 && predsCache[s][0] == hb;
 
     patchPredecessors(hb, hb_old_succs, new_succs);
     patchPredecessors(s, s_old_succs, {});
@@ -265,6 +362,8 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
     if (live) {
         pendingLive.push_back(hb);
         pendingLive.push_back(s);
+        if (!splice || !sole_pred)
+            reachabilityChanged = true;
     }
     counters.add("analysisBlockRemovals");
 }

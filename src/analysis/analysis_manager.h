@@ -32,8 +32,11 @@
  *
  *  - PredecessorMap: patched edge-by-edge (exact, ordered like
  *    Function::predecessors()).
- *  - Liveness: re-solved only over the region that can reach a changed
- *    block (exact; see Liveness::update).
+ *  - Liveness: demand-driven. Events mark the changed blocks, and every
+ *    block that can reach them, pending; liveIn(b) solves only the
+ *    pending blocks b can reach (exact; see Liveness::markChanged and
+ *    Liveness::solveFrom). Entry reachability is kept across events and
+ *    recomputed only after an edge change that is not a splice.
  *  - DominatorTree / LoopInfo: patched in place for the simple-merge
  *    splice (blockAbsorbed -- the common case during formation);
  *    invalidated on any other edge change and rebuilt lazily on the
@@ -58,6 +61,7 @@
 #include "analysis/loops.h"
 #include "ir/function.h"
 #include "support/stats.h"
+#include "support/timer.h"
 
 namespace chf {
 
@@ -83,8 +87,24 @@ class AnalysisManager
     // --- queries (lazily build or refresh the cached snapshot) ---
     const DominatorTree &dominators();
     const LoopInfo &loops();
-    const Liveness &liveness();
     const PredecessorMap &predecessors();
+
+    /** Whole-function liveness with every pending block solved. */
+    const Liveness &liveness();
+
+    /**
+     * Exact live-in set of block @p id. Solves only the pending blocks
+     * @p id can reach -- what formation trials read after each commit.
+     * The vector is livenessUniverse() bits wide.
+     */
+    const BitVector &liveIn(BlockId id);
+
+    /**
+     * Register universe of the vectors liveIn() returns (at least
+     * fn.numVregs()); size set-algebra partners from this. Stable until
+     * the function allocates registers past it.
+     */
+    uint32_t livenessUniverse();
 
     // --- concurrent-read window (speculative parallel trials) ---
 
@@ -149,10 +169,36 @@ class AnalysisManager
      */
     void instructionsRewritten(BlockId id);
 
-    /** Cache-activity counters (builds / hits / patches / updates). */
-    const StatSet &stats() const { return counters; }
+    /**
+     * Cache-activity counters (builds / hits / patches / updates), plus
+     * the liveness solve accounting: livenessQueries (liveIn calls),
+     * livenessBlocksSolved (Liveness::blocksWorked -- block sets
+     * recomputed, fresh builds included, plus the block table once per
+     * reachability re-walk) and usMergeLiveness
+     * (time spent absorbing events and solving -- formation's liveness
+     * cost, whichever trial step asked).
+     */
+    const StatSet &stats() const;
 
   private:
+    /** True when the cached liveness is absent, has events to absorb,
+     *  or covers fewer registers than the function has. */
+    bool livenessOutOfSync() const;
+
+    /** Apply the recorded events to the cached liveness (building it
+     *  if absent); nothing is solved. */
+    void syncLiveness();
+
+    /** Replace the cached liveness with a fresh solve (uncached mode). */
+    void rebuildLiveness();
+
+    /** Blocks the cached liveness has worked on (0 when absent). */
+    uint64_t livenessWork() const;
+
+    /** Charge the time since @p timer started and the blocks worked
+     *  since livenessWork() read @p work_before to the counters. */
+    void noteLivenessWork(const Timer &timer, uint64_t work_before);
+
     void patchPredecessors(BlockId id,
                            const std::vector<BlockId> &old_succs,
                            const std::vector<BlockId> &new_succs);
@@ -167,13 +213,21 @@ class AnalysisManager
     PredecessorMap predsCache;
     bool predsValid = false;
 
-    /** Blocks whose dataflow facts changed since `live` was computed. */
+    /** Blocks whose dataflow facts changed since `live` last absorbed
+     *  events, and whether an edge change since then may have moved
+     *  entry reachability. */
     std::vector<BlockId> pendingLive;
+    bool reachabilityChanged = false;
 
     /** Set inside a beginConcurrentReads() window (reads only). */
     bool frozen = false;
 
-    StatSet counters;
+    // Liveness accounting, written into `counters` by stats().
+    uint64_t livenessQueries = 0;
+    uint64_t livenessBlocksSolved = 0;
+    int64_t livenessNs = 0;
+
+    mutable StatSet counters;
 };
 
 } // namespace chf

@@ -24,7 +24,7 @@ DominatorTree::DominatorTree(const Function &fn,
 void
 DominatorTree::build(const Function &fn, const PredecessorMap &preds)
 {
-    order = fn.reversePostOrder();
+    std::vector<BlockId> order = fn.reversePostOrder();
     size_t table = fn.blockTableSize();
     idoms.assign(table, kNoBlock);
     rpoIndex.assign(table, std::numeric_limits<uint32_t>::max());
@@ -123,7 +123,6 @@ DominatorTree::applyBlockAbsorbed(BlockId hb, BlockId s)
     // s is gone: unreachable for every future query.
     idoms[s] = kNoBlock;
     rpoIndex[s] = std::numeric_limits<uint32_t>::max();
-    order.erase(std::remove(order.begin(), order.end(), s), order.end());
 }
 
 BlockId

@@ -44,9 +44,6 @@ class DominatorTree
     /** True if @p id is reachable from the entry. */
     bool reachable(BlockId id) const;
 
-    /** Reverse post-order of reachable blocks (entry first). */
-    const std::vector<BlockId> &rpo() const { return order; }
-
     /** Dominator-tree children of @p id. */
     std::vector<BlockId> children(BlockId id) const;
 
@@ -55,7 +52,6 @@ class DominatorTree
 
     std::vector<BlockId> idoms;     // by block id
     std::vector<uint32_t> rpoIndex; // by block id; UINT32_MAX unreachable
-    std::vector<BlockId> order;
     BlockId entry;
 
     // Dominator-tree structure for O(1) dominance tests: child lists

@@ -1,10 +1,9 @@
 #include "analysis/liveness.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace chf {
-
-namespace {
 
 /**
  * Bitvector universe padding. Formation allocates predicate registers
@@ -15,13 +14,11 @@ namespace {
  * growth. Padding bits are never set, so results are unaffected.
  */
 uint32_t
-paddedUniverse(uint32_t n)
+Liveness::paddedUniverse(uint32_t n)
 {
     uint32_t pad = std::max<uint32_t>(64, n / 4);
     return (n + pad + 63) & ~uint32_t(63);
 }
-
-} // namespace
 
 BitVector
 blockUses(const BasicBlock &bb, uint32_t num_vregs)
@@ -84,44 +81,45 @@ Liveness::Liveness(const Function &fn)
 {
     nv = paddedUniverse(fn.numVregs());
     size_t table = fn.blockTableSize();
-    ins.assign(table, BitVector(nv));
-    outs.assign(table, BitVector(nv));
-    uses.assign(table, BitVector(nv));
-    kills.assign(table, BitVector(nv));
+    // Only existing blocks get sets; removed ids stay zero-sized.
+    // uses/kills are sized when a block's facts are first computed.
+    ins.assign(table, BitVector());
+    outs.assign(table, BitVector());
+    uses.assign(table, BitVector());
+    kills.assign(table, BitVector());
+    for (BlockId id : fn.blockIds()) {
+        ins[id].resize(nv);
+        outs[id].resize(nv);
+    }
     succs.assign(table, {});
-    reachableBits.assign(table, 0);
+    reachable.assign(table, 0);
+    pendingBits.assign(table, 0);
+    dirty.assign(table, 0);
+    version.assign(table, 0);
+    seen.assign(table, 0);
+    visit.assign(table, 0);
+    index.assign(table, 0);
+    low.assign(table, 0);
+    onStack.assign(table, 0);
 
-    std::vector<BlockId> order = fn.reversePostOrder();
-    for (BlockId id : order) {
-        const BasicBlock *bb = fn.block(id);
-        uses[id] = blockUses(*bb, nv);
-        kills[id] = blockKills(*bb, nv);
-        succs[id] = bb->successors();
-        reachableBits[id] = 1;
+    // Every reachable block joins (its facts are computed on the way)
+    // and is pending and dirty; one solveAll() settles them.
+    std::vector<BlockId> joined;
+    recomputeReachability(fn, joined);
+    for (BlockId id : joined) {
+        pendingBits[id] = 1;
+        dirty[id] = 1;
     }
+    numPending = joined.size();
+    solveAll();
+}
 
-    // Backward fixed point: visit in post-order (reverse of RPO). The
-    // scratch vectors are reused across visits to keep the solve
-    // allocation-free.
-    BitVector out(nv), in(nv);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            BlockId id = *it;
-            out.reset();
-            for (BlockId s : succs[id])
-                out.unionWith(ins[s]);
-            in = out;
-            in.subtract(kills[id]);
-            in.unionWith(uses[id]);
-            if (out != outs[id] || in != ins[id]) {
-                outs[id] = out;
-                ins[id] = in;
-                changed = true;
-            }
-        }
-    }
+void
+Liveness::rebuild(const Function &fn)
+{
+    uint64_t before = worked;
+    *this = Liveness(fn);
+    worked += before;
 }
 
 void
@@ -130,240 +128,359 @@ Liveness::ensureUniverse(uint32_t vreg_bound)
     if (vreg_bound <= nv)
         return;
     uint32_t padded = paddedUniverse(vreg_bound);
-    for (size_t i = 0; i < ins.size(); ++i) {
-        ins[i].resize(padded);
-        outs[i].resize(padded);
-        uses[i].resize(padded);
-        kills[i].resize(padded);
+    // Zero-sized sets belong to removed blocks (or facts never
+    // computed) and stay that way.
+    for (auto *sets : {&ins, &outs, &uses, &kills}) {
+        for (BitVector &set : *sets) {
+            if (set.size() != 0)
+                set.resize(padded);
+        }
     }
     nv = padded;
 }
 
 void
-Liveness::update(const Function &fn,
-                 const std::vector<BlockId> &changed_blocks,
-                 const PredecessorMap &preds)
+Liveness::nextEpoch()
+{
+    if (++epoch == 0) {
+        // Stamp wraparound (2^32 walks): flush everything once.
+        std::fill(visit.begin(), visit.end(), 0u);
+        epoch = 1;
+    }
+}
+
+void
+Liveness::refreshFacts(const Function &fn, BlockId id)
+{
+    const BasicBlock *bb = fn.block(id);
+    // The upward-exposure walk's kill scratch ends up holding exactly
+    // the block's unpredicated defs.
+    blockUsesInto(*bb, nv, uses[id], kills[id]);
+    succs[id] = bb->successors();
+}
+
+void
+Liveness::clearBlock(BlockId id)
+{
+    ins[id].reset();
+    outs[id].reset();
+    dirty[id] = 0;
+    if (pendingBits[id]) {
+        pendingBits[id] = 0;
+        --numPending;
+    }
+}
+
+void
+Liveness::addPending(BlockId id, const PredecessorMap &preds)
+{
+    if (pendingBits[id])
+        return;
+    // The region stays closed under reachable predecessors, so the
+    // walk can stop wherever it meets a block already pending.
+    pendingBits[id] = 1;
+    ++numPending;
+    workStack.clear();
+    workStack.push_back(id);
+    while (!workStack.empty()) {
+        BlockId b = workStack.back();
+        workStack.pop_back();
+        if (b >= preds.size())
+            continue;
+        for (BlockId p : preds[b]) {
+            if (p < pendingBits.size() && reachable[p] &&
+                !pendingBits[p]) {
+                pendingBits[p] = 1;
+                ++numPending;
+                workStack.push_back(p);
+            }
+        }
+    }
+}
+
+void
+Liveness::recomputeReachability(const Function &fn,
+                                std::vector<BlockId> &joined)
+{
+    size_t table = ins.size();
+    worked += table;
+    nextEpoch();
+    workStack.clear();
+    BlockId entry = fn.entry();
+    if (entry != kNoBlock && entry < table && fn.block(entry)) {
+        visit[entry] = epoch;
+        workStack.push_back(entry);
+    }
+    while (!workStack.empty()) {
+        BlockId b = workStack.back();
+        workStack.pop_back();
+        // Facts of unreachable blocks are not maintained; refresh them
+        // as the block joins.
+        if (!reachable[b])
+            refreshFacts(fn, b);
+        for (BlockId s : succs[b]) {
+            if (s < table && visit[s] != epoch && fn.block(s)) {
+                visit[s] = epoch;
+                workStack.push_back(s);
+            }
+        }
+    }
+    // Blocks that fell off the CFG go to bottom (a from-scratch solve
+    // never visits them); blocks that joined it are reported.
+    for (BlockId b = 0; b < table; ++b) {
+        bool now = visit[b] == epoch;
+        if (reachable[b] && !now)
+            clearBlock(b);
+        else if (!reachable[b] && now)
+            joined.push_back(b);
+        reachable[b] = now ? 1 : 0;
+    }
+}
+
+void
+Liveness::markChanged(const Function &fn,
+                      const std::vector<BlockId> &changed,
+                      const PredecessorMap &preds,
+                      bool reachability_changed)
 {
     size_t table = ins.size();
     if (fn.blockTableSize() != table) {
         // New blocks appeared: no cheap patch, recompute.
-        *this = Liveness(fn);
+        rebuild(fn);
         return;
     }
+    if (fn.numVregs() > nv)
+        ensureUniverse(fn.numVregs());
 
-    if (fn.numVregs() > nv) {
-        uint32_t padded = paddedUniverse(fn.numVregs());
-        for (size_t i = 0; i < table; ++i) {
-            ins[i].resize(padded);
-            outs[i].resize(padded);
-            uses[i].resize(padded);
-            kills[i].resize(padded);
-        }
-        nv = padded;
-    }
-
-    // Edge rewrites can shift reachability. Blocks that fell off the
-    // CFG go to bottom (a from-scratch solve never visits them); blocks
-    // that joined it count as changed so their facts get computed.
-    std::vector<uint8_t> now(table, 0);
-    for (BlockId id : fn.reversePostOrder())
-        now[id] = 1;
-
-    std::vector<BlockId> changed = changed_blocks;
-    for (size_t i = 0; i < table; ++i) {
-        if (reachableBits[i] && !now[i]) {
-            ins[i].reset();
-            outs[i].reset();
-        } else if (!reachableBits[i] && now[i]) {
-            changed.push_back(static_cast<BlockId>(i));
-        }
-    }
-    reachableBits = now;
-
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()),
-                  changed.end());
-
-    // Refresh the local facts of the changed blocks; removed or
-    // unreachable ones just go (stay) empty.
-    std::vector<uint8_t> is_seed(table, 0);
-    std::vector<BlockId> seeds;
+    // Refresh the changed blocks' facts first, so a reachability walk
+    // follows their new edges. Removed blocks leave the CFG here.
     for (BlockId c : changed) {
         if (c >= table)
             continue;
-        const BasicBlock *bb = fn.block(c);
-        if (!bb || !now[c]) {
-            ins[c].reset();
-            outs[c].reset();
+        if (!fn.block(c)) {
+            // Removed for good (ids are never reused): release its sets.
+            clearBlock(c);
+            reachable[c] = 0;
+            ins[c] = BitVector();
+            outs[c] = BitVector();
+            uses[c] = BitVector();
+            kills[c] = BitVector();
+            succs[c].clear();
             continue;
         }
-        uses[c] = blockUses(*bb, nv);
-        kills[c] = blockKills(*bb, nv);
-        succs[c] = bb->successors();
-        seeds.push_back(c);
-        is_seed[c] = 1;
+        refreshFacts(fn, c);
     }
-    if (seeds.empty())
+
+    std::vector<BlockId> seeds;
+    if (reachability_changed)
+        recomputeReachability(fn, seeds);
+    for (BlockId c : changed) {
+        if (c < table && fn.block(c) && reachable[c])
+            seeds.push_back(c);
+    }
+    for (BlockId c : seeds) {
+        dirty[c] = 1;
+        addPending(c, preds);
+    }
+}
+
+void
+Liveness::refresh(const Function &fn)
+{
+    size_t table = ins.size();
+    if (fn.blockTableSize() != table) {
+        rebuild(fn);
         return;
-
-    // Liveness flows backward, so only blocks that can *reach* a
-    // changed block can change solution. Collect that region over the
-    // predecessor map.
-    std::vector<uint8_t> in_region(table, 0);
-    std::vector<BlockId> region = seeds;
-    for (BlockId s : region)
-        in_region[s] = 1;
-    for (size_t qi = 0; qi < region.size(); ++qi) {
-        for (BlockId p : preds[region[qi]]) {
-            if (p < table && now[p] && !in_region[p]) {
-                in_region[p] = 1;
-                region.push_back(p);
-            }
-        }
     }
+    if (fn.numVregs() > nv)
+        ensureUniverse(fn.numVregs());
 
-    // Condense the region into SCCs (iterative Tarjan over the succ
-    // edges restricted to the region). Tarjan emits SCCs successors
-    // first -- exactly the evaluation order a backward problem wants:
-    // by the time an SCC is solved, every solution it reads is final.
-    constexpr uint32_t kUnvisited = ~uint32_t(0);
-    std::vector<uint32_t> index(table, kUnvisited);
-    std::vector<uint32_t> low(table, 0);
-    std::vector<uint8_t> on_stack(table, 0);
-    std::vector<BlockId> scc_stack;
-    std::vector<std::vector<BlockId>> sccs;
-    uint32_t next_index = 0;
-
-    struct Frame
-    {
-        BlockId b;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-    for (BlockId root : region) {
-        if (index[root] != kUnvisited)
+    std::vector<BlockId> changed;
+    bool edges_changed = false;
+    for (BlockId b = 0; b < table; ++b) {
+        const BasicBlock *bb = fn.block(b);
+        if (!bb) {
+            if (reachable[b]) {
+                changed.push_back(b);
+                edges_changed = true;
+            }
             continue;
-        index[root] = low[root] = next_index++;
-        scc_stack.push_back(root);
-        on_stack[root] = 1;
-        dfs.push_back({root, 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < succs[f.b].size()) {
-                BlockId s = succs[f.b][f.child++];
-                if (s >= table || !in_region[s])
-                    continue;
-                if (index[s] == kUnvisited) {
-                    index[s] = low[s] = next_index++;
-                    scc_stack.push_back(s);
-                    on_stack[s] = 1;
-                    dfs.push_back({s, 0});
-                } else if (on_stack[s]) {
-                    low[f.b] = std::min(low[f.b], index[s]);
-                }
-            } else {
-                BlockId b = f.b;
-                dfs.pop_back();
-                if (!dfs.empty()) {
-                    low[dfs.back().b] =
-                        std::min(low[dfs.back().b], low[b]);
-                }
-                if (low[b] == index[b]) {
-                    sccs.emplace_back();
-                    while (true) {
-                        BlockId m = scc_stack.back();
-                        scc_stack.pop_back();
-                        on_stack[m] = 0;
-                        sccs.back().push_back(m);
-                        if (m == b)
-                            break;
-                    }
-                }
-            }
+        }
+        // Unreachable blocks are refreshed if an edge change lets them
+        // join; only a reachable block's edges can move reachability.
+        if (!reachable[b])
+            continue;
+        tmpSuccs.clear();
+        for (const Instruction &inst : bb->insts) {
+            if (inst.op == Opcode::Br &&
+                std::find(tmpSuccs.begin(), tmpSuccs.end(),
+                          inst.target) == tmpSuccs.end())
+                tmpSuccs.push_back(inst.target);
+        }
+        bool edges = tmpSuccs != succs[b];
+        blockUsesInto(*bb, nv, tmpIn, tmpOut);
+        if (edges || tmpIn != uses[b] || tmpOut != kills[b]) {
+            changed.push_back(b);
+            edges_changed = edges_changed || edges;
         }
     }
+    if (changed.empty())
+        return;
+    markChanged(fn, changed, fn.predecessors(), edges_changed);
+    solveAll();
+}
 
-    // Solve SCCs in emission order, change-driven: an SCC is recomputed
-    // only if it holds a seed or reads a value that changed, and
-    // propagation stops as soon as recomputation reproduces the old
-    // solution. Cyclic SCCs reset to bottom first -- a warm start could
-    // sustain a stale value around the cycle forever -- so the result
-    // is the least fixed point, bit-identical to a from-scratch solve.
-    std::vector<uint8_t> value_changed(table, 0);
-    BitVector out_s(nv), in_s(nv);
-    std::vector<BitVector> old_ins;
+void
+Liveness::solveAll()
+{
+    for (BlockId b = 0; b < pendingBits.size() && numPending > 0; ++b) {
+        if (pendingBits[b])
+            solveFrom(b);
+    }
+}
 
-    for (const auto &scc : sccs) {
-        bool needs = false;
-        for (BlockId b : scc) {
-            if (is_seed[b]) {
+void
+Liveness::solveFrom(BlockId root)
+{
+    if (!pending(root))
+        return;
+    if (tmpIn.size() != nv) {
+        tmpIn.resize(nv);
+        tmpOut.resize(nv);
+    }
+
+    // Iterative Tarjan over the successor edges restricted to pending
+    // blocks. Tarjan emits SCCs successors first -- exactly the
+    // evaluation order a backward problem wants -- so each SCC is
+    // solved as it is emitted: every solution it reads is final.
+    nextEpoch();
+    uint32_t next_index = 0;
+    std::vector<Frame> &dfs = frames;
+    dfs.clear();
+    auto open = [&](BlockId b) {
+        visit[b] = epoch;
+        index[b] = low[b] = next_index++;
+        sccStack.push_back(b);
+        onStack[b] = 1;
+        dfs.push_back({b, 0});
+    };
+    sccStack.clear();
+    open(root);
+    while (!dfs.empty()) {
+        Frame &f = dfs.back();
+        if (f.child < succs[f.b].size()) {
+            BlockId s = succs[f.b][f.child++];
+            if (!pending(s))
+                continue;
+            if (visit[s] != epoch) {
+                open(s);
+            } else if (onStack[s]) {
+                low[f.b] = std::min(low[f.b], index[s]);
+            }
+            continue;
+        }
+        BlockId b = f.b;
+        dfs.pop_back();
+        if (!dfs.empty())
+            low[dfs.back().b] = std::min(low[dfs.back().b], low[b]);
+        if (low[b] != index[b])
+            continue;
+        scc.clear();
+        while (true) {
+            BlockId m = sccStack.back();
+            sccStack.pop_back();
+            onStack[m] = 0;
+            scc.push_back(m);
+            if (m == b)
+                break;
+        }
+        solveScc(scc);
+    }
+}
+
+void
+Liveness::solveScc(const std::vector<BlockId> &members)
+{
+    // Change-driven: an SCC is recomputed only if a member's facts
+    // changed or a member reads a live-in that changed since the
+    // member was last solved. Otherwise its equations and inputs are
+    // those its current solution already satisfies as a least fixed
+    // point, and it just leaves the pending region.
+    bool needs = false;
+    for (BlockId b : members) {
+        if (dirty[b]) {
+            needs = true;
+            break;
+        }
+        for (BlockId s : succs[b]) {
+            if (version[s] > seen[b]) {
                 needs = true;
                 break;
             }
-            for (BlockId s : succs[b]) {
-                if (s < table && value_changed[s]) {
-                    needs = true;
-                    break;
-                }
-            }
-            if (needs)
-                break;
         }
-        if (!needs)
-            continue;
+        if (needs)
+            break;
+    }
 
-        bool cyclic = scc.size() > 1;
-        if (!cyclic) {
-            for (BlockId s : succs[scc[0]]) {
-                if (s == scc[0])
-                    cyclic = true;
-            }
-        }
+    if (needs) {
+        worked += members.size();
+        bool cyclic = members.size() > 1;
+        for (BlockId s : succs[members[0]])
+            cyclic = cyclic || s == members[0];
 
-        if (!cyclic) {
-            BlockId b = scc[0];
-            out_s.reset();
+        auto evaluate = [&](BlockId b) {
+            tmpOut.reset();
             for (BlockId s : succs[b])
-                out_s.unionWith(ins[s]);
-            in_s = out_s;
-            in_s.subtract(kills[b]);
-            in_s.unionWith(uses[b]);
-            if (in_s != ins[b]) {
-                ins[b] = in_s;
-                value_changed[b] = 1;
+                tmpOut.unionWith(ins[s]);
+            tmpIn = tmpOut;
+            tmpIn.subtract(kills[b]);
+            tmpIn.unionWith(uses[b]);
+        };
+        if (!cyclic) {
+            BlockId b = members[0];
+            evaluate(b);
+            if (tmpIn != ins[b]) {
+                std::swap(ins[b], tmpIn);
+                version[b] = ++clock;
             }
-            outs[b] = out_s;
+            std::swap(outs[b], tmpOut);
         } else {
-            old_ins.clear();
-            old_ins.reserve(scc.size());
-            for (BlockId b : scc) {
-                old_ins.push_back(ins[b]);
-                ins[b].reset();
-                outs[b].reset();
+            // Reset to bottom first -- a warm start could sustain a
+            // stale value around the cycle forever -- so the result is
+            // the least fixed point, bit-identical to a from-scratch
+            // solve.
+            if (oldIns.size() < members.size())
+                oldIns.resize(members.size());
+            for (size_t i = 0; i < members.size(); ++i) {
+                std::swap(oldIns[i], ins[members[i]]);
+                ins[members[i]].resize(nv);
+                ins[members[i]].reset();
+                outs[members[i]].reset();
             }
             bool iter = true;
             while (iter) {
                 iter = false;
-                for (BlockId b : scc) {
-                    out_s.reset();
-                    for (BlockId s : succs[b])
-                        out_s.unionWith(ins[s]);
-                    in_s = out_s;
-                    in_s.subtract(kills[b]);
-                    in_s.unionWith(uses[b]);
-                    if (out_s != outs[b] || in_s != ins[b]) {
-                        outs[b] = out_s;
-                        ins[b] = in_s;
+                for (BlockId b : members) {
+                    evaluate(b);
+                    if (tmpOut != outs[b] || tmpIn != ins[b]) {
+                        std::swap(outs[b], tmpOut);
+                        std::swap(ins[b], tmpIn);
                         iter = true;
                     }
                 }
             }
-            for (size_t i = 0; i < scc.size(); ++i) {
-                if (ins[scc[i]] != old_ins[i])
-                    value_changed[scc[i]] = 1;
+            for (size_t i = 0; i < members.size(); ++i) {
+                if (ins[members[i]] != oldIns[i])
+                    version[members[i]] = ++clock;
             }
         }
     }
+    for (BlockId b : members) {
+        dirty[b] = 0;
+        pendingBits[b] = 0;
+        seen[b] = clock;
+    }
+    numPending -= members.size();
 }
 
 BitVector

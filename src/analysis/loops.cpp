@@ -1,6 +1,7 @@
 #include "analysis/loops.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/fatal.h"
 
@@ -46,19 +47,22 @@ LoopInfo::build(const Function &fn, const PredecessorMap &preds)
         }
     }
 
+    // in_loop[b] == the index of the loop being collected: one table
+    // for all headers instead of one per header.
+    std::vector<size_t> in_loop(fn.blockTableSize(), SIZE_MAX);
     for (BlockId header : headers) {
+        const size_t mark = allLoops.size();
         Loop loop;
         loop.header = header;
-        std::vector<uint8_t> in_loop(fn.blockTableSize(), 0);
-        in_loop[header] = 1;
+        in_loop[header] = mark;
         loop.blocks.push_back(header);
         std::vector<BlockId> worklist;
         for (const auto &[latch, h] : back_edges) {
             if (h != header)
                 continue;
             loop.latches.push_back(latch);
-            if (!in_loop[latch]) {
-                in_loop[latch] = 1;
+            if (in_loop[latch] != mark) {
+                in_loop[latch] = mark;
                 loop.blocks.push_back(latch);
                 worklist.push_back(latch);
             }
@@ -67,9 +71,9 @@ LoopInfo::build(const Function &fn, const PredecessorMap &preds)
             BlockId b = worklist.back();
             worklist.pop_back();
             for (BlockId p : preds[b]) {
-                if (!domTree->reachable(p) || in_loop[p])
+                if (!domTree->reachable(p) || in_loop[p] == mark)
                     continue;
-                in_loop[p] = 1;
+                in_loop[p] = mark;
                 loop.blocks.push_back(p);
                 worklist.push_back(p);
             }
@@ -86,6 +90,26 @@ LoopInfo::build(const Function &fn, const PredecessorMap &preds)
     }
     for (Loop &loop : allLoops)
         loop.depth = blockDepth[loop.header];
+
+    // Per-block indexes for O(1) queries. Natural loops with distinct
+    // headers are nested or disjoint, so the loops containing a block
+    // form a chain by depth: the deepest is its innermost loop, and a
+    // loop's parent is the loop one level up that contains its header.
+    headerLoop.assign(fn.blockTableSize(), -1);
+    innermostLoop.assign(fn.blockTableSize(), -1);
+    for (size_t i = 0; i < allLoops.size(); ++i)
+        headerLoop[allLoops[i].header] = static_cast<int>(i);
+    for (size_t i = 0; i < allLoops.size(); ++i) {
+        const Loop &loop = allLoops[i];
+        for (BlockId b : loop.blocks) {
+            int &best = innermostLoop[b];
+            if (best < 0 || loop.depth > allLoops[best].depth)
+                best = static_cast<int>(i);
+            int headed = headerLoop[b];
+            if (headed >= 0 && allLoops[headed].depth == loop.depth + 1)
+                allLoops[headed].parent = static_cast<int>(i);
+        }
+    }
 }
 
 void
@@ -95,8 +119,13 @@ LoopInfo::applyBlockAbsorbed(BlockId hb, BlockId s)
     // edge not be a back edge, so no loop disappears and no depth
     // changes. Bodies lose s; a latch s becomes a latch hb (hb
     // inherited the back edge). Keep blocks and latches in the
-    // ascending order a fresh build produces.
-    for (Loop &loop : allLoops) {
+    // ascending order a fresh build produces. Only the loops holding s
+    // change -- the chain from its innermost loop outward -- and each
+    // also holds hb (s is entered only from hb), so hb's innermost
+    // loop stays put.
+    int first = s < innermostLoop.size() ? innermostLoop[s] : -1;
+    for (int li = first; li >= 0; li = allLoops[li].parent) {
+        Loop &loop = allLoops[li];
         auto pos = std::lower_bound(loop.blocks.begin(),
                                     loop.blocks.end(), s);
         if (pos != loop.blocks.end() && *pos == s)
@@ -112,8 +141,10 @@ LoopInfo::applyBlockAbsorbed(BlockId hb, BlockId s)
                 latches.insert(at, hb);
         }
     }
-    if (s < blockDepth.size())
+    if (s < blockDepth.size()) {
         blockDepth[s] = 0;
+        innermostLoop[s] = -1;
+    }
 }
 
 bool
@@ -131,22 +162,17 @@ LoopInfo::isLoopHeader(BlockId id) const
 const Loop *
 LoopInfo::loopAt(BlockId header) const
 {
-    for (const Loop &loop : allLoops) {
-        if (loop.header == header)
-            return &loop;
-    }
-    return nullptr;
+    if (header >= headerLoop.size() || headerLoop[header] < 0)
+        return nullptr;
+    return &allLoops[headerLoop[header]];
 }
 
 const Loop *
 LoopInfo::innermostContaining(BlockId id) const
 {
-    const Loop *best = nullptr;
-    for (const Loop &loop : allLoops) {
-        if (loop.contains(id) && (!best || loop.depth > best->depth))
-            best = &loop;
-    }
-    return best;
+    if (id >= innermostLoop.size() || innermostLoop[id] < 0)
+        return nullptr;
+    return &allLoops[innermostLoop[id]];
 }
 
 int

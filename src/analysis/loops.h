@@ -12,6 +12,7 @@
 #define CHF_ANALYSIS_LOOPS_H
 
 #include <memory>
+#include <algorithm>
 #include <vector>
 
 #include "analysis/dominators.h"
@@ -24,7 +25,7 @@ struct Loop
 {
     BlockId header = kNoBlock;
 
-    /** Member block ids (header included). */
+    /** Member block ids (header included), ascending. */
     std::vector<BlockId> blocks;
 
     /** Source blocks of back edges into the header. */
@@ -33,14 +34,13 @@ struct Loop
     /** Nesting depth: 1 for outermost. */
     int depth = 1;
 
+    /** Index (in LoopInfo::loops()) of the enclosing loop; -1 if none. */
+    int parent = -1;
+
     bool
     contains(BlockId id) const
     {
-        for (BlockId b : blocks) {
-            if (b == id)
-                return true;
-        }
-        return false;
+        return std::binary_search(blocks.begin(), blocks.end(), id);
     }
 };
 
@@ -94,6 +94,8 @@ class LoopInfo
     const DominatorTree *domTree;
     std::vector<Loop> allLoops;
     std::vector<int> blockDepth; // by block id
+    std::vector<int> headerLoop;    // by block id: loop it heads, or -1
+    std::vector<int> innermostLoop; // by block id: deepest loop, or -1
 };
 
 } // namespace chf

@@ -54,11 +54,10 @@ mnemonic(const Instruction &inst)
 } // namespace
 
 std::string
-writeBlockAsm(const Function &fn, const BasicBlock &bb)
+writeBlockAsm(const Function &fn, const BasicBlock &bb,
+              const BitVector &block_live_out)
 {
-    uint32_t nv = fn.numVregs();
-    Liveness liveness(fn);
-    BitVector live_out = liveness.liveOutOf(fn, bb);
+    BitVector live_out = block_live_out;
     if (bb.hasReturn()) {
         // The returned value is an architectural output too.
         for (const auto &inst : bb.insts) {
@@ -66,7 +65,6 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb)
                 live_out.set(inst.srcs[0].reg);
         }
     }
-    BitVector uses = blockUses(bb, nv);
 
     // Producer of each register at each point: -1 means the register
     // file (a read instruction). Collect consumer lists per producer.
@@ -168,16 +166,29 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb)
 }
 
 std::string
+writeBlockAsm(const Function &fn, const BasicBlock &bb)
+{
+    Liveness liveness(fn);
+    return writeBlockAsm(fn, bb, liveness.liveOutOf(fn, bb));
+}
+
+std::string
 writeFunctionAsm(const Function &fn)
 {
+    // One solve for the whole function; every block reads its live-out
+    // from it.
+    Liveness liveness(fn);
+    auto block_asm = [&](const BasicBlock &bb) {
+        return writeBlockAsm(fn, bb, liveness.liveOutOf(fn, bb));
+    };
     std::ostringstream os;
     os << "; " << fn.name() << ": " << fn.numBlocks() << " blocks, "
        << fn.totalInsts() << " instructions\n";
     // Entry first, then the rest in id order.
-    os << writeBlockAsm(fn, *fn.block(fn.entry()));
+    os << block_asm(*fn.block(fn.entry()));
     for (BlockId id : fn.blockIds()) {
         if (id != fn.entry())
-            os << writeBlockAsm(fn, *fn.block(id));
+            os << block_asm(*fn.block(id));
     }
     return os.str();
 }

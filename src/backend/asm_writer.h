@@ -29,10 +29,18 @@
 #include <string>
 
 #include "ir/function.h"
+#include "support/bitvector.h"
 
 namespace chf {
 
-/** Emit one block in target form. */
+/**
+ * Emit one block in target form, given the registers live out of it
+ * (the union of its successors' live-ins).
+ */
+std::string writeBlockAsm(const Function &fn, const BasicBlock &bb,
+                          const BitVector &live_out);
+
+/** Emit one block in target form (solves liveness for @p fn first). */
 std::string writeBlockAsm(const Function &fn, const BasicBlock &bb);
 
 /** Emit the whole function, entry block first. */

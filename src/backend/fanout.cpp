@@ -1,16 +1,21 @@
 #include "backend/fanout.h"
 
-#include <map>
+#include <algorithm>
 
 namespace chf {
 
 size_t
-insertFanout(Function &fn, BasicBlock &bb)
+insertFanout(Function &fn, BasicBlock &bb, FanoutScratch *scratch)
 {
     // Collect, per producing instruction index, its in-block consumer
     // positions (src or predicate reads) up to the next redefinition.
     // Values read from outside the block (live-ins) arrive through the
     // register file, which broadcasts; only in-block producers fan out.
+    FanoutScratch local;
+    FanoutScratch &t = scratch ? *scratch : local;
+    std::vector<size_t> &provider = t.provider;
+    std::vector<uint32_t> &stamp = t.stamp;
+    auto &consumers = t.consumers;
     size_t moves = 0;
     bool changed = true;
 
@@ -19,30 +24,37 @@ insertFanout(Function &fn, BasicBlock &bb)
     int guard = 0;
     while (changed && guard++ < 4096) {
         changed = false;
+        if (++t.epoch == 0) {
+            // Stamp wraparound (2^32 rescans): flush everything once.
+            std::fill(stamp.begin(), stamp.end(), 0u);
+            t.epoch = 1;
+        }
+        const uint32_t epoch = t.epoch;
+        if (stamp.size() < fn.numVregs()) {
+            stamp.resize(fn.numVregs(), 0);
+            provider.resize(fn.numVregs(), 0);
+        }
+        if (consumers.size() < bb.insts.size())
+            consumers.resize(bb.insts.size());
+        for (size_t i = 0; i < bb.insts.size(); ++i)
+            consumers[i].clear();
 
-        // Map register -> index of the instruction that currently
-        // provides it (the latest def at this point in the scan).
-        std::map<Vreg, size_t> provider;
-        std::map<size_t, std::vector<std::pair<size_t, int>>> consumers;
-        // consumer entry: (instruction index, operand slot); slot -1
-        // is the predicate.
-
+        auto consume = [&](Vreg v, size_t i, int slot) {
+            if (v < stamp.size() && stamp[v] == epoch)
+                consumers[provider[v]].emplace_back(i, slot);
+        };
         for (size_t i = 0; i < bb.insts.size(); ++i) {
             const Instruction &inst = bb.insts[i];
             for (int s = 0; s < inst.numSrcs(); ++s) {
-                if (!inst.srcs[s].isReg())
-                    continue;
-                auto it = provider.find(inst.srcs[s].reg);
-                if (it != provider.end())
-                    consumers[it->second].emplace_back(i, s);
+                if (inst.srcs[s].isReg())
+                    consume(inst.srcs[s].reg, i, s);
             }
-            if (inst.pred.valid()) {
-                auto it = provider.find(inst.pred.reg);
-                if (it != provider.end())
-                    consumers[it->second].emplace_back(i, -1);
-            }
-            if (inst.hasDest())
+            if (inst.pred.valid())
+                consume(inst.pred.reg, i, -1);
+            if (inst.hasDest() && inst.dest < stamp.size()) {
                 provider[inst.dest] = i;
+                stamp[inst.dest] = epoch;
+            }
         }
 
         // Find the first over-subscribed producer. Rather than peeling
@@ -50,7 +62,9 @@ insertFanout(Function &fn, BasicBlock &bb)
         // consumer set in half across two movs; recursion over rescans
         // yields a balanced tree of logarithmic depth, matching the
         // fanout trees a real EDGE scheduler builds.
-        for (auto &[prod_idx, uses] : consumers) {
+        for (size_t prod_idx = 0; prod_idx < bb.insts.size();
+             ++prod_idx) {
+            auto &uses = consumers[prod_idx];
             if (uses.size() <= kMaxTargets)
                 continue;
 
@@ -106,9 +120,10 @@ insertFanout(Function &fn, BasicBlock &bb)
 size_t
 insertFanoutFunction(Function &fn)
 {
+    FanoutScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds())
-        total += insertFanout(fn, *fn.block(id));
+        total += insertFanout(fn, *fn.block(id), &scratch);
     return total;
 }
 

@@ -9,50 +9,75 @@ namespace chf {
 
 namespace {
 
-/** Rewrite one block to load/store a spilled register around uses. */
+/**
+ * Rewrite one block to load/store every spilled register it touches.
+ * @p spill_index maps a register to its position in the spill order
+ * (slot @p slot_base + position), or -1 when it has a physical
+ * register. A spilled value is reloaded at block entry if the block
+ * reads it before (re)defining it, or if a predicated def may not fire
+ * while the exit store runs unconditionally (the flow-through value
+ * must be in the register); it is stored at block exit when a (possibly
+ * new) value defined here flows out. Reloads come first in reverse
+ * spill order and stores last in spill order -- the layout of applying
+ * one value at a time, each wrapping the previous rewrite.
+ */
 size_t
-spillInBlock(BasicBlock &bb, Vreg reg, int64_t slot_addr,
-             const BitVector &live_in, const BitVector &live_out)
+spillInBlock(BasicBlock &bb, const std::vector<int32_t> &spill_index,
+             const std::vector<Vreg> &spilled, int64_t slot_base,
+             const BitVector &live_in, const BitVector &live_out,
+             std::vector<uint8_t> &flags)
 {
-    size_t inserted = 0;
-    std::vector<Instruction> out;
-    out.reserve(bb.insts.size() + 2);
-
-    bool defined = false;
-    bool has_predicated_def = false;
+    // Spilled registers the block touches, by spill position, with
+    // their flags: kDef (defined here), kPredDef (some def is
+    // predicated); live-in ones join with neither. @p flags is zero on
+    // entry and cleared again before returning.
+    constexpr uint8_t kSeen = 1, kDef = 2, kPredDef = 4;
+    std::vector<int32_t> touched;
+    auto note = [&](Vreg reg, uint8_t bits) {
+        if (spill_index[reg] < 0)
+            return;
+        if (!flags[reg])
+            touched.push_back(spill_index[reg]);
+        flags[reg] |= kSeen | bits;
+    };
     for (const auto &inst : bb.insts) {
-        if (inst.hasDest() && inst.dest == reg) {
-            defined = true;
-            if (inst.pred.valid())
-                has_predicated_def = true;
+        if (inst.hasDest())
+            note(inst.dest, inst.pred.valid() ? kDef | kPredDef : kDef);
+    }
+    live_in.forEach([&](uint32_t reg) { note(reg, 0); });
+    if (touched.empty())
+        return 0;
+    std::sort(touched.begin(), touched.end());
+
+    BitVector uses = blockUses(bb, live_in.size());
+    std::vector<Instruction> out;
+    out.reserve(bb.insts.size() + 2 * touched.size());
+    size_t inserted = 0;
+    for (auto it = touched.rbegin(); it != touched.rend(); ++it) {
+        Vreg reg = spilled[static_cast<size_t>(*it)];
+        bool store_at_exit = (flags[reg] & kDef) && live_out.test(reg);
+        if (live_in.test(reg) &&
+            (uses.test(reg) ||
+             (store_at_exit && (flags[reg] & kPredDef)))) {
+            out.push_back(Instruction::load(
+                reg, Operand::makeImm(slot_base + *it),
+                Operand::makeImm(0)));
+            ++inserted;
         }
     }
-
-    // Reload at block entry if the block reads the value before
-    // (re)defining it, or if a predicated def may not fire while the
-    // exit store runs unconditionally (the flow-through value must be
-    // in the register).
-    BitVector uses = blockUses(bb, live_in.size());
-    bool store_at_exit = defined && live_out.test(reg);
-    if (live_in.test(reg) &&
-        (uses.test(reg) || (store_at_exit && has_predicated_def))) {
-        out.push_back(Instruction::load(reg,
-                                        Operand::makeImm(slot_addr),
-                                        Operand::makeImm(0)));
-        ++inserted;
+    out.insert(out.end(), bb.insts.begin(), bb.insts.end());
+    for (int32_t idx : touched) {
+        Vreg reg = spilled[static_cast<size_t>(idx)];
+        if ((flags[reg] & kDef) && live_out.test(reg)) {
+            out.push_back(Instruction::store(
+                Operand::makeImm(slot_base + idx), Operand::makeImm(0),
+                Operand::makeReg(reg)));
+            ++inserted;
+        }
+        flags[reg] = 0;
     }
-
-    for (const auto &inst : bb.insts)
-        out.push_back(inst);
-
-    // Store at block exit when the (possibly new) value flows out.
-    if (store_at_exit) {
-        out.push_back(Instruction::store(Operand::makeImm(slot_addr),
-                                         Operand::makeImm(0),
-                                         Operand::makeReg(reg)));
-        ++inserted;
-    }
-    bb.insts = std::move(out);
+    if (inserted > 0)
+        bb.insts = std::move(out);
     return inserted;
 }
 
@@ -114,15 +139,14 @@ allocateRegisters(Program &program, const RegAllocOptions &options)
             program.memory.allocate("spill",
                                     static_cast<int64_t>(spilled.size()));
         const GlobalRegion &region = program.memory.region("spill");
-        for (size_t i = 0; i < spilled.size(); ++i) {
-            Vreg reg = spilled[i];
-            int64_t slot = region.base + static_cast<int64_t>(i);
-            for (BlockId id : fn.blockIds()) {
-                BasicBlock *bb = fn.block(id);
-                result.spillInstsInserted += spillInBlock(
-                    *bb, reg, slot, liveness.liveIn(id),
-                    liveness.liveOut(id));
-            }
+        std::vector<int32_t> spill_index(liveness.universe(), -1);
+        for (size_t i = 0; i < spilled.size(); ++i)
+            spill_index[spilled[i]] = static_cast<int32_t>(i);
+        std::vector<uint8_t> flags(liveness.universe(), 0);
+        for (BlockId id : fn.blockIds()) {
+            result.spillInstsInserted += spillInBlock(
+                *fn.block(id), spill_index, spilled, region.base,
+                liveness.liveIn(id), liveness.liveOut(id), flags);
         }
         // Arguments arrive in registers, not in their (zero-filled)
         // spill slots: materialize each spilled argument at function

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
@@ -69,19 +70,27 @@ MergeEngine::invalidateFixpoints()
               static_cast<uint8_t>(0));
 }
 
-void
-MergeEngine::addOptStats(const OptPassStats &stats)
+const StatSet &
+MergeEngine::stats() const
 {
-    counters.add("usOptCopyProp", static_cast<int64_t>(stats.usCopyProp));
-    counters.add("usOptGvn", static_cast<int64_t>(stats.usGvn));
-    counters.add("usOptPredOpt", static_cast<int64_t>(stats.usPredOpt));
-    counters.add("usOptDce", static_cast<int64_t>(stats.usDce));
-    counters.add("usOptCoalesce",
-                 static_cast<int64_t>(stats.usCoalesce));
-    counters.add("optSeamVisited",
-                 static_cast<int64_t>(stats.instsVisited));
-    counters.add("optSeamTotal",
-                 static_cast<int64_t>(stats.instsTotal));
+    if (trialTimes.ran) {
+        counters.set("usMergeCombine", trialTimes.combineNs / 1000);
+        counters.set("usMergeLegal", trialTimes.legalNs / 1000);
+    }
+    if (trialTimes.optimized) {
+        counters.set("usMergeOptimize", trialTimes.optimizeNs / 1000);
+        const OptPassStats &o = trialTimes.opt;
+        counters.set("usOptCopyProp", static_cast<int64_t>(o.usCopyProp));
+        counters.set("usOptGvn", static_cast<int64_t>(o.usGvn));
+        counters.set("usOptPredOpt", static_cast<int64_t>(o.usPredOpt));
+        counters.set("usOptDce", static_cast<int64_t>(o.usDce));
+        counters.set("usOptCoalesce",
+                     static_cast<int64_t>(o.usCoalesce));
+        counters.set("optSeamVisited",
+                     static_cast<int64_t>(o.instsVisited));
+        counters.set("optSeamTotal", static_cast<int64_t>(o.instsTotal));
+    }
+    return counters;
 }
 
 bool
@@ -131,21 +140,25 @@ isNaturalLoopHeader(const DominatorTree &dom, const PredecessorMap &preds,
     return false;
 }
 
-/** Stream one instruction into the trial hash, freq bits included. */
+/** Stream one instruction into the trial hash, freq bits included.
+ *  Fields are packed into whole words (hashing runs once per trial
+ *  over both participants, so it is per-instruction hot). */
 void
 hashInstruction(Hash64 &h, const Instruction &inst)
 {
-    h.u8(static_cast<uint8_t>(inst.op));
-    h.u32(inst.dest);
+    h.word(static_cast<uint64_t>(inst.op) |
+           static_cast<uint64_t>(inst.pred.onTrue ? 1 : 0) << 8 |
+           static_cast<uint64_t>(inst.dest) << 32);
+    h.word(static_cast<uint64_t>(inst.pred.reg) |
+           static_cast<uint64_t>(inst.target) << 32);
     for (const Operand &src : inst.srcs) {
-        h.u8(static_cast<uint8_t>(src.kind));
-        h.u32(src.reg);
-        h.u64(static_cast<uint64_t>(src.imm));
+        h.word(static_cast<uint64_t>(src.kind) |
+               static_cast<uint64_t>(src.reg) << 32);
+        h.word(static_cast<uint64_t>(src.imm));
     }
-    h.u32(inst.pred.reg);
-    h.u8(inst.pred.onTrue ? 1 : 0);
-    h.u32(inst.target);
-    h.f64(inst.freq);
+    uint64_t freq_bits;
+    std::memcpy(&freq_bits, &inst.freq, sizeof(freq_bits));
+    h.word(freq_bits);
 }
 
 void
@@ -157,22 +170,40 @@ hashBlockContents(Hash64 &h, const BasicBlock &bb)
         hashInstruction(h, inst);
 }
 
-/** A memoized failed trial: the reason it failed and how many vregs
- *  the failing combine allocated (replayed on hit). */
+/** A memoized failed trial: the reason it failed (interned, see
+ *  internReason) and how many vregs the failing combine allocated
+ *  (replayed on hit). */
 struct FailedTrial
 {
-    std::string reason;
+    const std::string *reason = nullptr;
     uint32_t vregsBurned = 0;
 };
 
-/** Total entry capacity; one entry is ~100 bytes, so this caps
- *  resident memo memory near 100 MB. */
+/**
+ * Failure reasons come from a small vocabulary (a few legality
+ * messages over a narrow range of counts), while the memo holds one
+ * entry per distinct failed trial for the life of the process. Entries
+ * point into this pool instead of owning a string each, which keeps an
+ * entry at a third of the size. Strings are never erased, and
+ * unordered_set nodes never move, so the pointers stay valid.
+ */
+const std::string *
+internReason(const std::string &reason)
+{
+    static std::mutex mu;
+    static std::unordered_set<std::string> pool;
+    std::lock_guard<std::mutex> lock(mu);
+    return &*pool.insert(reason).first;
+}
+
+/** Total entry capacity; one entry is ~50 bytes with its hash-table
+ *  node, so this caps resident memo memory near 50 MB. */
 constexpr size_t kTrialMemoCapacity = size_t(1) << 20;
 
 /** Striped-lock shard count. 64 shards keep lock hold times (a hash
  *  probe) uncontended even with every pool worker storing speculative
  *  failures at once; the shard index comes from the key's top bits so
- *  FNV's well-mixed high half spreads entries evenly. */
+ *  the hash's well-mixed high half spreads entries evenly. */
 constexpr size_t kTrialMemoShards = 64;
 constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
 
@@ -239,7 +270,7 @@ storeFailedTrial(uint64_t key, FailedTrial entry)
         shard.evictions += shard.map.size();
         shard.map.clear();
     }
-    shard.map.emplace(key, std::move(entry));
+    shard.map.emplace(key, entry);
 }
 
 } // namespace
@@ -346,10 +377,11 @@ MergeEngine::record(BlockId hb, BlockId s, MergeOutcome outcome)
     return outcome;
 }
 
+template <typename LiveIn>
 uint64_t
 MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
                       const BasicBlock &hb_block, const BasicBlock &source,
-                      const Liveness &liveness) const
+                      LiveIn &&live_in) const
 {
     Hash64 h;
     h.u32(hb);
@@ -397,16 +429,40 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
                 continue;
             }
             h.u32(inst.target);
-            h.bits(liveness.liveIn(inst.target));
+            h.bits(live_in(inst.target));
         }
     };
     hash_targets(hb_block, true);
     hash_targets(source, false);
     h.u8(self_loop ? 1 : 0);
     if (self_loop)
-        h.bits(liveness.liveIn(hb));
+        h.bits(live_in(hb));
 
     return h.digest();
+}
+
+template <typename LiveIn>
+void
+MergeEngine::combinedLiveOut(BlockId hb, const BasicBlock &merged,
+                             uint32_t universe, LiveIn &&live_in,
+                             TrialScratch &t) const
+{
+    BitVector &live_out = t.liveOut;
+    live_out.resize(universe);
+    live_out.reset();
+    bool self_loop = false;
+    for (BlockId succ : merged.successors()) {
+        if (succ == hb) {
+            self_loop = true;
+            continue;
+        }
+        live_out.unionWith(live_in(succ));
+    }
+    if (self_loop) {
+        blockUsesInto(merged, universe, t.legal.uses, t.legal.killed);
+        live_out.unionWith(t.legal.uses);
+        live_out.unionWith(live_in(hb));
+    }
 }
 
 size_t
@@ -497,13 +553,15 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
             illegal = blockSizeReason(opts.target,
                                       opts.sizeHeadroom);
         } else {
-            memo_key =
-                trialKey(hb, s, kind, *hb_block, *source, am.liveness());
+            memo_key = trialKey(hb, s, kind, *hb_block, *source,
+                                [this](BlockId b) -> const BitVector & {
+                                    return am.liveIn(b);
+                                });
             FailedTrial hit;
             if (lookupFailedTrial(memo_key, &hit)) {
                 counters.add("trialsMemoHit");
                 fn.skipVregs(hit.vregsBurned);
-                outcome.reason = std::move(hit.reason);
+                outcome.reason = *hit.reason;
                 return record(hb, s, outcome);
             }
             have_memo_key = true;
@@ -534,43 +592,28 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
         double share = kind == MergeKind::Simple
                            ? 1.0
                            : entryShare(*hb_block, *source);
-        {
-            ScopedStatTimer timer(counters, "usMergeCombine");
-            if (!combineBlocks(fn, scratch, t->sourceCopy, share,
-                               &t->combine)) {
-                outcome.reason = "no branch to successor";
-                return record(hb, s, outcome);
-            }
+        trialTimes.ran = true;
+        Timer combine_timer;
+        bool combined = combineBlocks(fn, scratch, t->sourceCopy, share,
+                                      &t->combine);
+        trialTimes.combineNs += combine_timer.elapsedNanos();
+        if (!combined) {
+            outcome.reason = "no branch to successor";
+            return record(hb, s, outcome);
         }
 
-        // Live-out of the merged block: union of the live-ins of its
-        // targets, plus its own upward-exposed uses if it loops back to
-        // itself (the next iteration's reads). The query comes after
-        // combineBlocks so the cached analysis covers the predicate
-        // registers if-conversion just allocated.
-        Timer live_timer;
-        const Liveness &liveness = am.liveness();
-        counters.add("usMergeLiveness", live_timer.elapsedMicros());
-        BitVector &live_out = t->liveOut;
-        live_out.resize(liveness.universe());
-        live_out.reset();
-        bool self_loop = false;
-        for (BlockId succ : scratch.successors()) {
-            if (succ == hb) {
-                self_loop = true;
-                continue;
-            }
-            live_out.unionWith(liveness.liveIn(succ));
-        }
-        if (self_loop) {
-            blockUsesInto(scratch, liveness.universe(), t->legal.uses,
-                          t->legal.killed);
-            live_out.unionWith(t->legal.uses);
-            live_out.unionWith(liveness.liveIn(hb));
-        }
+        // Live-out of the merged block. The query comes after
+        // combineBlocks so the universe covers the predicate registers
+        // if-conversion just allocated; the manager times the solves.
+        combinedLiveOut(hb, scratch, am.livenessUniverse(),
+                        [this](BlockId b) -> const BitVector & {
+                            return am.liveIn(b);
+                        },
+                        *t);
+        const BitVector &live_out = t->liveOut;
 
         if (opts.optimizeDuringMerge) {
-            ScopedStatTimer timer(counters, "usMergeOptimize");
+            Timer optimize_timer;
             // Seam-scoped start: sound only when HB's body is a known
             // optimizer fixpoint -- the combine copied [0, firstDirty)
             // from it verbatim, so the prefix's certification carries
@@ -578,10 +621,10 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
             size_t seam = (incrOpt && isFixpoint(hb))
                               ? t->combine.firstDirty
                               : 0;
-            OptPassStats pass_stats;
             optimizeBlockFrom(fn, scratch, live_out, seam, &t->opt,
-                              &opt_fixpoint, &pass_stats);
-            addOptStats(pass_stats);
+                              &opt_fixpoint, &trialTimes.opt);
+            trialTimes.optimized = true;
+            trialTimes.optimizeNs += optimize_timer.elapsedNanos();
         }
 
         // --- LegalBlock: structural constraints on the result ---
@@ -589,7 +632,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
         illegal = checkBlockLegal(fn, scratch, live_out,
                                   opts.target, opts.sizeHeadroom,
                                   &t->legal);
-        counters.add("usMergeLegal", legal_timer.elapsedMicros());
+        trialTimes.legalNs += legal_timer.elapsedNanos();
 
         if (illegal.empty()) {
             // --- Commit: transform the CFG ---
@@ -682,9 +725,9 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
 
     if (have_memo_key && !split_path_taken) {
         FailedTrial entry;
-        entry.reason = illegal;
+        entry.reason = internReason(illegal);
         entry.vregsBurned = fn.numVregs() - vregs_before;
-        storeFailedTrial(memo_key, std::move(entry));
+        storeFailedTrial(memo_key, entry);
     }
 
     outcome.reason = illegal;
@@ -762,13 +805,16 @@ MergeEngine::runTrialSpeculative(const TrialPlan &plan,
         return;
     }
 
-    uint64_t memo_key =
-        trialKey(plan.hb, plan.s, plan.kind, *hb_block, *source, liveness);
+    auto frozen_live_in = [&liveness](BlockId b) -> const BitVector & {
+        return liveness.liveIn(b);
+    };
+    uint64_t memo_key = trialKey(plan.hb, plan.s, plan.kind, *hb_block,
+                                 *source, frozen_live_in);
     FailedTrial hit;
     if (lookupFailedTrial(memo_key, &hit)) {
         out.memoHit = true;
         out.vregsBurned = hit.vregsBurned;
-        out.reason = std::move(hit.reason);
+        out.reason = *hit.reason;
         return;
     }
 
@@ -785,7 +831,7 @@ MergeEngine::runTrialSpeculative(const TrialPlan &plan,
         Timer timer;
         bool merged = combineBlocksAt(vregs, scratch, t.sourceCopy,
                                       out.share, &t.combine);
-        out.usCombine = timer.elapsedMicros();
+        out.nsCombine = timer.elapsedNanos();
         if (!merged) {
             // tryMerge returns without memoizing this case.
             out.combineFailed = true;
@@ -798,23 +844,9 @@ MergeEngine::runTrialSpeculative(const TrialPlan &plan,
     // Same live-out computation as tryMerge, against the frozen
     // liveness (its universe was pre-padded past this round's highest
     // predicted register, so every vector is already big enough).
-    BitVector &live_out = t.liveOut;
-    live_out.resize(liveness.universe());
-    live_out.reset();
-    bool self_loop = false;
-    for (BlockId succ : scratch.successors()) {
-        if (succ == plan.hb) {
-            self_loop = true;
-            continue;
-        }
-        live_out.unionWith(liveness.liveIn(succ));
-    }
-    if (self_loop) {
-        blockUsesInto(scratch, liveness.universe(), t.legal.uses,
-                      t.legal.killed);
-        live_out.unionWith(t.legal.uses);
-        live_out.unionWith(liveness.liveIn(plan.hb));
-    }
+    combinedLiveOut(plan.hb, scratch, liveness.universe(), frozen_live_in,
+                    t);
+    const BitVector &live_out = t.liveOut;
 
     if (opts.optimizeDuringMerge) {
         Timer timer;
@@ -826,14 +858,14 @@ MergeEngine::runTrialSpeculative(const TrialPlan &plan,
                           : 0;
         optimizeBlockFrom(fn, scratch, live_out, seam, &t.opt,
                           &out.fixpoint, &out.optStats);
-        out.usOptimize = timer.elapsedMicros();
+        out.nsOptimize = timer.elapsedNanos();
     }
 
     Timer legal_timer;
     std::string illegal = checkBlockLegal(fn, scratch, live_out,
                                           opts.target,
                                           opts.sizeHeadroom, &t.legal);
-    out.usLegal = legal_timer.elapsedMicros();
+    out.nsLegal = legal_timer.elapsedNanos();
     out.vregsBurned = vregs.next - plan.vregBase;
     CHF_ASSERT(out.vregsBurned == plan.burn,
                "speculative trial burned a different register count "
@@ -850,9 +882,9 @@ MergeEngine::runTrialSpeculative(const TrialPlan &plan,
     // discarded: the key covers every input, so the entry is exactly
     // what any future trial with the same key would compute.
     FailedTrial entry;
-    entry.reason = illegal;
+    entry.reason = internReason(illegal);
     entry.vregsBurned = out.vregsBurned;
-    storeFailedTrial(memo_key, std::move(entry));
+    storeFailedTrial(memo_key, entry);
 }
 
 MergeOutcome
@@ -873,10 +905,12 @@ MergeEngine::consumeTrial(const TrialPlan &plan, TrialResult &r)
     }
 
     counters.add("trialsRun");
-    counters.add("usMergeCombine", r.usCombine);
+    trialTimes.ran = true;
+    trialTimes.combineNs += r.nsCombine;
     if (opts.optimizeDuringMerge) {
-        counters.add("usMergeOptimize", r.usOptimize);
-        addOptStats(r.optStats);
+        trialTimes.optimized = true;
+        trialTimes.optimizeNs += r.nsOptimize;
+        trialTimes.opt.merge(r.optStats);
     }
     fn.skipVregs(r.vregsBurned);
 
@@ -884,7 +918,7 @@ MergeEngine::consumeTrial(const TrialPlan &plan, TrialResult &r)
         outcome.reason = std::move(r.reason);
         return record(plan.hb, plan.s, outcome);
     }
-    counters.add("usMergeLegal", r.usLegal);
+    trialTimes.legalNs += r.nsLegal;
 
     if (!r.success) {
         // The worker already memoized the failure.
@@ -970,9 +1004,7 @@ MergeEngine::tryMergeRound(
 
     // Freeze the analyses for lock-free concurrent reads; `base` is now
     // one past the highest register any trial in the round can create.
-    Timer live_timer;
     const Liveness &liveness = am.beginConcurrentReads(base);
-    counters.add("usMergeLiveness", live_timer.elapsedMicros());
 
     const size_t arena_slots = pool->workerCount() + 1;
     while (specArenas.size() < arena_slots)

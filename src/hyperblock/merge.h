@@ -264,7 +264,8 @@ class MergeEngine
      */
     bool legalMerge(BlockId hb, BlockId s, std::string *why = nullptr);
 
-    const StatSet &stats() const { return counters; }
+    /** Activity counters and per-step trial timings (usMerge*). */
+    const StatSet &stats() const;
     const MergeOptions &options() const { return opts; }
     Function &function() { return fn; }
 
@@ -382,9 +383,9 @@ class MergeEngine
         uint32_t vregsBurned = 0;  ///< replayed at consume time
         double share = 1.0;        ///< entry share (commit needs it)
         std::vector<Instruction> mergedInsts; ///< on success
-        int64_t usCombine = 0;
-        int64_t usOptimize = 0;
-        int64_t usLegal = 0;
+        int64_t nsCombine = 0;
+        int64_t nsOptimize = 0;
+        int64_t nsLegal = 0;
         OptPassStats optStats;     ///< per-pass timing + visit counts
         bool fixpoint = false;     ///< optimize ended at a known fixpoint
         std::exception_ptr error;  ///< rethrown at the serial position
@@ -419,16 +420,24 @@ class MergeEngine
     /** Append to the trace (when enabled) and pass @p outcome through. */
     MergeOutcome record(BlockId hb, BlockId s, MergeOutcome outcome);
 
-    /** Content hash identifying a trial (see DESIGN.md §10). Takes the
-     *  liveness explicitly so speculative workers hash against the
-     *  frozen snapshot instead of calling back into the manager. */
+    /** Content hash identifying a trial (see DESIGN.md §10). Reads
+     *  live-ins through @p live_in (BlockId -> const BitVector &): the
+     *  serial path asks the manager, which solves on demand;
+     *  speculative workers read the frozen snapshot instead of calling
+     *  back into the manager. */
+    template <typename LiveIn>
     uint64_t trialKey(BlockId hb, BlockId s, MergeKind kind,
                       const BasicBlock &hb_block,
-                      const BasicBlock &source,
-                      const Liveness &liveness) const;
+                      const BasicBlock &source, LiveIn &&live_in) const;
 
-    /** Merge one trial's optimizer pass stats into the counters. */
-    void addOptStats(const OptPassStats &stats);
+    /** Live-out of @p merged (HB's would-be body) into t.liveOut: the
+     *  union of its targets' live-ins, plus its own upward-exposed
+     *  uses and HB's live-in if it loops back to itself (the next
+     *  iteration's reads). */
+    template <typename LiveIn>
+    void combinedLiveOut(BlockId hb, const BasicBlock &merged,
+                         uint32_t universe, LiveIn &&live_in,
+                         TrialScratch &t) const;
 
     /**
      * True when block @p b's current body is a known fixpoint of the
@@ -452,10 +461,27 @@ class MergeEngine
         fixpointKnown[b] = known ? 1 : 0;
     }
 
+    /**
+     * Trial-step time and optimizer pass stats, kept as plain integers
+     * on the per-trial path and written into `counters` by stats().
+     * Nanoseconds: a step often takes under a microsecond, and
+     * truncating each one would leave its time unattributed.
+     */
+    struct TrialTimes
+    {
+        bool ran = false;       ///< some trial reached the combine
+        bool optimized = false; ///< some trial ran the optimizer
+        int64_t combineNs = 0;
+        int64_t optimizeNs = 0;
+        int64_t legalNs = 0;
+        OptPassStats opt;
+    };
+
     Function &fn;
     MergeOptions opts;
     AnalysisManager am;
-    StatSet counters;
+    mutable StatSet counters;
+    TrialTimes trialTimes;
     std::vector<MergeTraceEntry> mergeTrace;
 
     /** Original loop bodies saved at first unroll, by header id. */

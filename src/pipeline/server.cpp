@@ -434,6 +434,8 @@ CompileServer::handle(const std::string &line)
            << ",\"trial_memo_entries\":" << memo.entries
            << ",\"opt_seam_visited\":" << s.optSeamVisited
            << ",\"opt_seam_total\":" << s.optSeamTotal
+           << ",\"liveness_queries\":" << s.livenessQueries
+           << ",\"liveness_blocks_solved\":" << s.livenessBlocksSolved
            << ",\"in_flight\":" << inFlight.load() << "}";
         return os.str();
     }
@@ -628,6 +630,10 @@ CompileServer::handleCompileAdmitted(
             result.totals.get("optSeamVisited"));
         counters.optSeamTotal += static_cast<uint64_t>(
             result.totals.get("optSeamTotal"));
+        counters.livenessQueries += static_cast<uint64_t>(
+            result.totals.get("livenessQueries"));
+        counters.livenessBlocksSolved += static_cast<uint64_t>(
+            result.totals.get("livenessBlocksSolved"));
     }
 
     // Response body: everything except "id"/"cached", so the cached

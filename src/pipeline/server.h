@@ -93,6 +93,12 @@ struct ServerStats
      *  certified fixpoints); the gap is work skipped. */
     uint64_t optSeamVisited = 0;
     uint64_t optSeamTotal = 0;
+
+    /** Demand-driven formation liveness across every compile served
+     *  (DESIGN.md §6): live-in queries formation made, and block
+     *  live-in/live-out sets re-solved to answer them. */
+    uint64_t livenessQueries = 0;
+    uint64_t livenessBlocksSolved = 0;
 };
 
 namespace server_detail {

@@ -1,12 +1,14 @@
 /**
  * @file
- * Streaming 64-bit FNV-1a hasher for content-addressed caches.
+ * Streaming 64-bit hasher for content-addressed caches: FNV-1a over
+ * byte fields, plus a one-step whole-word mix (MurmurHash64A's block
+ * mix) for hot keys built from many fixed-width fields.
  *
  * The trial-merge memo cache (hyperblock/merge.cpp) keys failed merge
  * attempts by the *contents* of the participating blocks: any committed
  * transform that touches a block changes its hash, so stale entries can
  * never be consulted — the cache is self-invalidating and needs no
- * eviction hooks. FNV-1a is not collision-free; callers must only cache
+ * eviction hooks. The hash is not collision-free; callers must only cache
  * facts whose worst case under a collision is a wrong *negative* cost
  * decision, never a wrong transform (see DESIGN.md section 10 for why
  * the merge memo satisfies this).
@@ -24,7 +26,7 @@
 
 namespace chf {
 
-/** Incremental FNV-1a over a stream of typed fields. */
+/** Incremental hash over a stream of typed fields. */
 class Hash64
 {
   public:
@@ -73,19 +75,36 @@ class Hash64
     }
 
     /**
+     * Mix a whole 64-bit word in one step: several times cheaper than
+     * bytes() on eight bytes. Streams that use it hash differently from
+     * byte streams of the same data.
+     */
+    void
+    word(uint64_t k)
+    {
+        constexpr uint64_t m = 0xc6a4a7935bd1e995ull;
+        k *= m;
+        k ^= k >> 47;
+        k *= m;
+        state ^= k;
+        state *= m;
+    }
+
+    /**
      * Hash the *set-bit contents* of @p bv, independent of its universe
      * size: padded and unpadded vectors with the same members hash
      * equal (the liveness universe grows by policy, not by content).
+     * One word() step per set bit.
      */
     void
     bits(const BitVector &bv)
     {
         uint64_t count = 0;
         bv.forEach([&](uint32_t b) {
-            u32(b);
+            word(b);
             ++count;
         });
-        u64(count);
+        word(count);
     }
 
     uint64_t digest() const { return state; }

@@ -35,6 +35,14 @@ class Timer
             .count();
     }
 
+    int64_t
+    elapsedNanos() const
+    {
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   Clock::now() - start)
+            .count();
+    }
+
     double
     elapsedSeconds() const
     {

@@ -106,9 +106,12 @@ copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch,
 size_t
 copyPropagateFunction(Function &fn)
 {
+    // One epoch-stamped table for the whole pass: a fresh one per block
+    // would re-grow to the block's highest register every time.
+    CopyPropScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds())
-        total += copyPropagateBlock(*fn.block(id));
+        total += copyPropagateBlock(*fn.block(id), &scratch);
     return total;
 }
 
@@ -228,13 +231,14 @@ coalesceMoves(BasicBlock &bb, const BitVector &live_out,
 }
 
 size_t
-coalesceMovesFunction(Function &fn)
+coalesceMovesFunction(Function &fn, const Liveness &liveness)
 {
-    Liveness liveness(fn);
+    CoalesceScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds()) {
         BasicBlock *bb = fn.block(id);
-        total += coalesceMoves(*bb, liveness.liveOutOf(fn, *bb));
+        total += coalesceMoves(*bb, liveness.liveOutOf(fn, *bb),
+                               &scratch);
     }
     return total;
 }

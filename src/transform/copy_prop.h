@@ -12,6 +12,8 @@
 
 namespace chf {
 
+class Liveness;
+
 /**
  * Reusable copy table for copyPropagateBlock: a dense epoch-stamped
  * map from copy destination to source operand. An entry is valid when
@@ -71,8 +73,11 @@ size_t coalesceMoves(BasicBlock &bb, const BitVector &live_out,
                      CoalesceScratch *scratch = nullptr,
                      size_t *min_touched = nullptr);
 
-/** Apply coalesceMoves to every block. @return total coalesced. */
-size_t coalesceMovesFunction(Function &fn);
+/**
+ * Apply coalesceMoves to every block, reading live-outs from @p live,
+ * which must be current. @return total coalesced.
+ */
+size_t coalesceMovesFunction(Function &fn, const Liveness &live);
 
 } // namespace chf
 

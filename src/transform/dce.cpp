@@ -53,18 +53,20 @@ eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
 }
 
 size_t
-eliminateDeadCodeFunction(Function &fn)
+eliminateDeadCodeFunction(Function &fn, Liveness &liveness)
 {
     size_t total = 0;
+    DceScratch scratch;
     // Removing uses in one block can make defs in another dead, so
     // iterate; bounded by a few rounds in practice.
     for (int round = 0; round < 8; ++round) {
-        Liveness liveness(fn);
+        if (round > 0)
+            liveness.refresh(fn);
         size_t removed = 0;
         for (BlockId id : fn.blockIds()) {
             BasicBlock *bb = fn.block(id);
             removed += eliminateDeadCode(
-                *bb, liveness.liveOutOf(fn, *bb));
+                *bb, liveness.liveOutOf(fn, *bb), &scratch);
         }
         total += removed;
         if (removed == 0)

@@ -15,6 +15,8 @@
 
 namespace chf {
 
+class Liveness;
+
 /** Reusable working storage for eliminateDeadCode. */
 struct DceScratch
 {
@@ -37,9 +39,11 @@ size_t eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
 
 /**
  * Whole-function DCE to a fixed point (removing a use can kill an
- * upstream def in another block). @return total removed.
+ * upstream def in another block), starting from @p live, which must be
+ * current; it is refreshed (Liveness::refresh) between rounds.
+ * @return total removed.
  */
-size_t eliminateDeadCodeFunction(Function &fn);
+size_t eliminateDeadCodeFunction(Function &fn, Liveness &live);
 
 } // namespace chf
 

@@ -730,9 +730,10 @@ valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch,
 size_t
 valueNumberFunction(Function &fn)
 {
+    GvnScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds())
-        total += valueNumberBlock(fn, *fn.block(id));
+        total += valueNumberBlock(fn, *fn.block(id), &scratch);
     return total;
 }
 

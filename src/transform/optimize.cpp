@@ -1,6 +1,7 @@
 #include "transform/optimize.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "analysis/liveness.h"
 #include "support/timer.h"
@@ -90,15 +91,26 @@ optimizeBlockFrom(Function &fn, BasicBlock &bb,
 size_t
 optimizeFunction(Function &fn)
 {
+    // One liveness for the whole pipeline, refreshed before each pass
+    // that reads it: a pass changes few blocks, and a refresh re-solves
+    // only what those changes reach.
+    std::unique_ptr<Liveness> liveness;
+    auto current_liveness = [&]() -> Liveness & {
+        if (liveness)
+            liveness->refresh(fn);
+        else
+            liveness = std::make_unique<Liveness>(fn);
+        return *liveness;
+    };
     size_t total = 0;
     for (int round = 0; round < 3; ++round) {
         size_t changes = 0;
         changes += copyPropagateFunction(fn);
         changes += valueNumberFunction(fn);
         changes += valueNumberFunctionDominator(fn);
-        changes += optimizePredicatesFunction(fn);
-        changes += eliminateDeadCodeFunction(fn);
-        changes += coalesceMovesFunction(fn);
+        changes += optimizePredicatesFunction(fn, current_liveness());
+        changes += eliminateDeadCodeFunction(fn, current_liveness());
+        changes += coalesceMovesFunction(fn, current_liveness());
         total += changes;
         if (changes == 0)
             break;

@@ -249,13 +249,14 @@ optimizePredicates(BasicBlock &bb, const BitVector &live_out,
 }
 
 size_t
-optimizePredicatesFunction(Function &fn)
+optimizePredicatesFunction(Function &fn, const Liveness &liveness)
 {
-    Liveness liveness(fn);
+    PredOptScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds()) {
         BasicBlock *bb = fn.block(id);
-        total += optimizePredicates(*bb, liveness.liveOutOf(fn, *bb));
+        total += optimizePredicates(*bb, liveness.liveOutOf(fn, *bb),
+                                    &scratch);
     }
     return total;
 }

@@ -25,6 +25,8 @@
 
 namespace chf {
 
+class Liveness;
+
 /**
  * Reusable working storage for optimizePredicates, epoch-stamped so a
  * call touches only the registers the block mentions (plus lazily the
@@ -65,8 +67,11 @@ size_t optimizePredicates(BasicBlock &bb, const BitVector &live_out,
                           size_t begin = 0,
                           size_t *min_touched = nullptr);
 
-/** Apply to every block of @p fn. @return total changes. */
-size_t optimizePredicatesFunction(Function &fn);
+/**
+ * Apply to every block of @p fn, reading live-outs from @p live, which
+ * must be current. @return total changes.
+ */
+size_t optimizePredicatesFunction(Function &fn, const Liveness &live);
 
 } // namespace chf
 

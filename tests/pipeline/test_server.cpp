@@ -58,6 +58,8 @@ TEST(ServerProtocol, HealthAndStats)
     EXPECT_TRUE(hasField(stats, "\"opt_seam_total\":0"));
     EXPECT_TRUE(hasField(stats, "\"trial_memo_hits\":"));
     EXPECT_TRUE(hasField(stats, "\"trial_memo_entries\":"));
+    EXPECT_TRUE(hasField(stats, "\"liveness_queries\":0"));
+    EXPECT_TRUE(hasField(stats, "\"liveness_blocks_solved\":0"));
 
     // After a compile with real control flow (so formation runs merge
     // trials) the visit counters accumulate, and the seam may only
@@ -67,6 +69,15 @@ TEST(ServerProtocol, HealthAndStats)
     EXPECT_EQ(status(compiled), "ok");
     EXPECT_GT(server.stats().optSeamTotal, 0u);
     EXPECT_LE(server.stats().optSeamVisited, server.stats().optSeamTotal);
+
+    // Formation's trials read live-ins on demand (DESIGN.md §6); the
+    // stats op reports the queries and the block solves behind them.
+    EXPECT_GT(server.stats().livenessQueries, 0u);
+    EXPECT_GT(server.stats().livenessBlocksSolved, 0u);
+    std::string after = server.handle(R"({"op":"stats"})");
+    EXPECT_TRUE(hasField(after,
+                         "\"liveness_queries\":" +
+                             std::to_string(server.stats().livenessQueries)));
 }
 
 TEST(ServerProtocol, MalformedRequestsAreErrorsNotCrashes)
