@@ -11,7 +11,9 @@
  *    off, a parallel-session sweep (an 8-unit synth64 batch at
  *    1/2/4/8 worker threads), the generated tier, and a size-scaling
  *    sweep (synth64/128/256 through prepare, formation and the
- *    backend), all written to BENCH_pass_speed.json for trajectory
+ *    backend), and a simulator sweep (timing and functional model over
+ *    the 43 compiled paper programs, scheduleFunction on synth64/128/
+ *    256), all written to BENCH_pass_speed.json for trajectory
  *    tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
  *  - --smoke <baseline.json>: time formation of the largest speclike
@@ -640,6 +642,133 @@ sweepScaling(int repeats)
     return out;
 }
 
+// ----- simulator and scheduler sweep -----
+
+/** {median, p10, p90} of @p v by nearest rank (sorted in place). */
+void
+percentiles(std::vector<double> &v, double out[3])
+{
+    std::sort(v.begin(), v.end());
+    auto rank = [&](double p) {
+        return v[static_cast<size_t>(p * (v.size() - 1) + 0.5)];
+    };
+    out[0] = rank(0.5);
+    out[1] = rank(0.1);
+    out[2] = rank(0.9);
+}
+
+struct SimTiming
+{
+    size_t programs = 0;
+    uint64_t timingInsts = 0;     ///< executed per pass
+    uint64_t functionalInsts = 0; ///< executed per pass
+    // {median, p10, p90} over the repeats.
+    double timingMs[3] = {};
+    double functionalMs[3] = {};
+    double timingInstsPerUs[3] = {};
+    double functionalInstsPerUs[3] = {};
+    struct Schedule
+    {
+        std::string name;
+        size_t blocks = 0;
+        size_t insts = 0;
+        double ms[3] = {};
+    };
+    std::vector<Schedule> schedule;
+};
+
+/**
+ * The simulators over the 43 paper programs as the perfbench
+ * paper_suite cell compiles them (prepare, then a default one-thread
+ * Session), one pass = every program once; runTiming includes its
+ * scheduleFunction call, as the cell pays it. Then scheduleFunction
+ * alone on compiled synth64/128/256. Every row is timed @p repeats
+ * times.
+ */
+SimTiming
+sweepSim(int repeats)
+{
+    auto compiled = [](const Workload &w) {
+        Program program = buildWorkload(w);
+        ProfileData profile = prepareProgram(program);
+        Session session;
+        session.addProgramRef(program, profile, w.name);
+        session.compile(1);
+        return program;
+    };
+    SimTiming out;
+    std::vector<Program> programs;
+    for (const auto *suite : {&microbenchmarks(), &speclikeBenchmarks()}) {
+        for (const Workload &w : *suite)
+            programs.push_back(compiled(w));
+    }
+    out.programs = programs.size();
+
+    std::vector<double> timing_ms, functional_ms, timing_rate,
+        functional_rate;
+    for (int r = 0; r < repeats; ++r) {
+        uint64_t timing_insts = 0, functional_insts = 0;
+        Timer timer;
+        for (const Program &program : programs)
+            timing_insts += runTiming(program).instsExecuted;
+        const double timing_us = static_cast<double>(timer.elapsedMicros());
+        Timer functional_timer;
+        for (const Program &program : programs)
+            functional_insts += runFunctional(program).instsExecuted;
+        const double functional_us =
+            static_cast<double>(functional_timer.elapsedMicros());
+        out.timingInsts = timing_insts;
+        out.functionalInsts = functional_insts;
+        timing_ms.push_back(timing_us / 1000.0);
+        functional_ms.push_back(functional_us / 1000.0);
+        timing_rate.push_back(static_cast<double>(timing_insts) /
+                              std::max(timing_us, 1.0));
+        functional_rate.push_back(static_cast<double>(functional_insts) /
+                                  std::max(functional_us, 1.0));
+    }
+    percentiles(timing_ms, out.timingMs);
+    percentiles(functional_ms, out.functionalMs);
+    percentiles(timing_rate, out.timingInstsPerUs);
+    percentiles(functional_rate, out.functionalInstsPerUs);
+
+    for (int regions : {64, 128, 256}) {
+        Workload w = synthFormationWorkload(regions);
+        Program program = compiled(w);
+        SimTiming::Schedule row;
+        row.name = w.name;
+        row.blocks = program.fn.numBlocks();
+        row.insts = program.fn.totalInsts();
+        std::vector<double> ms;
+        for (int r = 0; r < repeats; ++r) {
+            Timer timer;
+            auto placement = scheduleFunction(program.fn);
+            benchmark::DoNotOptimize(placement.size());
+            ms.push_back(static_cast<double>(timer.elapsedMicros()) /
+                         1000.0);
+        }
+        percentiles(ms, row.ms);
+        out.schedule.push_back(row);
+    }
+
+    std::fprintf(stderr,
+                 "simulators over %zu compiled paper programs (median "
+                 "[p10, p90] of %d passes):\n"
+                 "  timing     %8.1f ms [%.1f, %.1f]  %6.1f insts/us\n"
+                 "  functional %8.1f ms [%.1f, %.1f]  %6.1f insts/us\n",
+                 out.programs, repeats, out.timingMs[0], out.timingMs[1],
+                 out.timingMs[2], out.timingInstsPerUs[0],
+                 out.functionalMs[0], out.functionalMs[1],
+                 out.functionalMs[2], out.functionalInstsPerUs[0]);
+    for (const SimTiming::Schedule &row : out.schedule) {
+        std::fprintf(stderr,
+                     "  scheduleFunction %s (%zu blocks) %.2f ms "
+                     "[%.2f, %.2f]\n",
+                     row.name.c_str(), row.blocks, row.ms[0], row.ms[1],
+                     row.ms[2]);
+    }
+    return out;
+}
+
 /** CPU model from /proc/cpuinfo ("unknown" elsewhere). */
 std::string
 cpuModel()
@@ -661,7 +790,8 @@ writeJson(const std::string &path,
           const std::vector<FormationTiming> &sweep,
           const std::vector<ParallelTiming> &parallel,
           const std::vector<GeneratedTiming> &generated,
-          const std::vector<ScalingTiming> &scaling)
+          const std::vector<ScalingTiming> &scaling,
+          const SimTiming &sim)
 {
     const unsigned hw = std::thread::hardware_concurrency();
     std::ostringstream os;
@@ -766,8 +896,36 @@ writeJson(const std::string &path,
            << ", \"us_merge_liveness\": " << t.usMergeLiveness << "}"
            << (i + 1 < scaling.size() ? "," : "") << "\n";
     }
+    auto triple = [&](const char *key, const double v[3]) {
+        os << "\"" << key << "\": " << v[0] << ", \"" << key
+           << "_p10\": " << v[1] << ", \"" << key << "_p90\": " << v[2];
+    };
+    os << "  ]},\n  \"sim\": {\"note\": \"the 43 paper programs "
+          "compiled by a default one-thread Session; one pass runs each "
+          "once (runTiming includes its scheduleFunction call); "
+          "scheduleFunction rows time compiled synth programs; values "
+          "are median/p10/p90 of the repeats\", \"programs\": "
+       << sim.programs << ", \"timing_insts_per_pass\": "
+       << sim.timingInsts << ", \"functional_insts_per_pass\": "
+       << sim.functionalInsts << ",\n    ";
+    triple("timing_ms_per_pass", sim.timingMs);
+    os << ", ";
+    triple("timing_insts_per_us", sim.timingInstsPerUs);
+    os << ",\n    ";
+    triple("functional_ms_per_pass", sim.functionalMs);
+    os << ", ";
+    triple("functional_insts_per_us", sim.functionalInstsPerUs);
+    os << ",\n    \"schedule\": [\n";
+    for (size_t i = 0; i < sim.schedule.size(); ++i) {
+        const SimTiming::Schedule &row = sim.schedule[i];
+        os << "      {\"name\": \"" << row.name << "\", \"blocks\": "
+           << row.blocks << ", \"insts\": " << row.insts << ", ";
+        triple("schedule_ms", row.ms);
+        os << "}" << (i + 1 < sim.schedule.size() ? "," : "") << "\n";
+    }
+    os << "    ]";
     const TrialMemoStats memo = trialMemoStats();
-    os << "  ]},\n  \"memo_store\": {\"hits\": " << memo.hits
+    os << "},\n  \"memo_store\": {\"hits\": " << memo.hits
        << ", \"misses\": " << memo.misses
        << ", \"evictions\": " << memo.evictions
        << ", \"entries\": " << memo.entries
@@ -984,8 +1142,9 @@ main(int argc, char **argv)
     std::vector<ParallelTiming> parallel = sweepParallel(3);
     std::vector<GeneratedTiming> generated = sweepGenerated(3);
     std::vector<ScalingTiming> scaling = sweepScaling(5);
+    SimTiming sim = sweepSim(7);
     writeJson("BENCH_pass_speed.json", sweep, parallel, generated,
-              scaling);
+              scaling, sim);
     if (const FormationTiming *big = largestWorkload(sweep)) {
         double speedup =
             big->cachedUs > 0

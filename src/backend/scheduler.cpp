@@ -1,6 +1,8 @@
 #include "backend/scheduler.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <map>
 
 namespace chf {
@@ -16,7 +18,8 @@ tileDistance(int a, int b, const SchedulerOptions &options)
 Placement
 scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options)
 {
-    int tiles = options.numTiles();
+    const int tiles = options.numTiles();
+    const int width = options.gridWidth;
     Placement placement(bb.size(), 0);
     std::vector<size_t> used(tiles, 0);
     std::vector<double> tile_free(tiles, 0.0);
@@ -24,26 +27,46 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options)
     // Ready time and placement of the latest producer per register.
     std::map<Vreg, std::pair<double, int>> producer;
 
+    // In-block producers of the current instruction's operands, looked
+    // up once and scored against every tile.
+    struct Source
+    {
+        double done;
+        int x, y;
+    };
+    std::array<Source, 4> sources; // 3 sources + predicate
+
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
+
+        size_t num_sources = 0;
+        inst.forEachUse([&](Vreg v) {
+            auto it = producer.find(v);
+            if (it != producer.end()) {
+                const int tile = it->second.second;
+                sources[num_sources++] = {it->second.first, tile % width,
+                                          tile / width};
+            }
+        });
 
         // Evaluate each tile: the instruction can issue once all its
         // operands have arrived (producer done + hop latency) and the
         // tile is free.
         int best_tile = -1;
         double best_start = 0.0;
-        for (int t = 0; t < tiles; ++t) {
+        for (int t = 0, tx = 0, ty = 0; t < tiles; ++t) {
             bool full = used[t] >= options.slotsPerTile;
             double start = tile_free[t];
-            inst.forEachUse([&](Vreg v) {
-                auto it = producer.find(v);
-                if (it != producer.end()) {
-                    double arrival =
-                        it->second.first +
-                        tileDistance(it->second.second, t, options);
-                    start = std::max(start, arrival);
-                }
-            });
+            for (size_t k = 0; k < num_sources; ++k) {
+                const Source &src = sources[k];
+                double arrival = src.done + (std::abs(src.x - tx) +
+                                             std::abs(src.y - ty));
+                start = std::max(start, arrival);
+            }
+            if (++tx == width) {
+                tx = 0;
+                ++ty;
+            }
             // Prefer non-full tiles; among them the earliest start,
             // breaking ties toward lower occupancy to spread load.
             if (best_tile < 0 && !full) {
@@ -82,7 +105,8 @@ scheduleFunction(const Function &fn, const SchedulerOptions &options)
 {
     std::map<BlockId, Placement> out;
     for (BlockId id : fn.blockIds())
-        out[id] = scheduleBlock(*fn.block(id), options);
+        out.emplace_hint(out.end(), id,
+                         scheduleBlock(*fn.block(id), options));
     return out;
 }
 

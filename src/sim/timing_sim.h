@@ -103,16 +103,6 @@ struct TimingResult
     int64_t returnValue = 0;
     uint64_t memoryHash = 0;
 
-    /** Diagnostics: summed (commit - fetch_start) over blocks. */
-    double sumBlockLatency = 0.0;
-
-    /** Diagnostics: summed (outputs_done - map_done) over blocks. */
-    double sumCritPath = 0.0;
-
-    /** Diagnostics: per-static-block summed critical path / counts. */
-    std::vector<double> critByBlock;
-    std::vector<uint64_t> execByBlock;
-
     double
     mispredictRate() const
     {
@@ -125,7 +115,8 @@ struct TimingResult
 
 /**
  * Run @p program through the timing model using @p placement from the
- * scheduler (blocks missing from the map are placed on demand).
+ * scheduler (blocks missing from the map, or whose placement does not
+ * match their size, are scheduled with config.grid).
  */
 TimingResult runTiming(const Program &program,
                        const std::map<BlockId, Placement> &placement,
